@@ -17,7 +17,7 @@ from .cliques import (
     CliqueMoments,
     CliqueSpec,
     count_cliques,
-    count_triangles_bitset,
+    count_cliques_batch,
     covering_edge_subsets,
     exact_distribution,
     fourier_coeff_fr,

@@ -34,7 +34,13 @@ from .decoupling import build_color_partition, decoupling_check
 from .distributions import LatticeSpec, discrete_gaussian, l1_distance, linf_distance
 from .ground import EdgeGround, binom
 from .pbf import popcount_array
-from .sampling import MCConfig, empirical_chf_grid, empirical_distribution, sample_kappa
+from .sampling import (
+    MCConfig,
+    empirical_chf_grid,
+    empirical_distribution,
+    sample_clique_counts,
+    sample_kappa,
+)
 
 ENV_PREFIX = "CLIQUELLT_"
 
@@ -158,10 +164,7 @@ def cmd_llt_verify(args) -> int:
             dist = exact_distribution(spec)
         else:
             mc = MCConfig(seed=args.seed, samples=args.samples, workers=args.workers)
-            counts = np.asarray(
-                sample_kappa(spec, mc) * spec.sigma + spec.mu
-            )
-            dist = empirical_distribution(np.rint(counts), LatticeSpec(0.0, 1.0))
+            dist = empirical_distribution(sample_clique_counts(spec, mc), LatticeSpec(0.0, 1.0))
         gauss = discrete_gaussian(LatticeSpec(0.0, 1.0), spec.mu, spec.sigma)
         linf = linf_distance(dist, gauss)
         l1 = l1_distance(dist, gauss)
@@ -183,8 +186,7 @@ def cmd_chf_scan(args) -> int:
         rows.append([est.t, est.value.real, est.value.imag, est.stderr])
     extra = {}
     if args.self_check:
-        mc2 = MCConfig(seed=args.seed, samples=2 * args.samples, workers=args.workers)
-        kappa2 = sample_kappa(spec, mc2)
+        kappa2 = sample_kappa(spec, mc.doubled())
         deltas = [
             abs(a.value - b.value)
             for a, b in zip(empirical_chf_grid(kappa, ts), empirical_chf_grid(kappa2, ts))

@@ -190,17 +190,117 @@ def count_cliques(g: GraphAssignment, r: int) -> int:
     return extend(full, r)
 
 
-def count_triangles_bitset(g: GraphAssignment) -> int:
-    """Triangle count via row intersections; must agree with count_cliques(g, 3)."""
-    n = g.ground.n
-    adj = g.adjacency_masks()
-    total = 0
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if (adj[i] >> j) & 1:
-                above = ~((1 << (j + 1)) - 1)
-                total += (adj[i] & adj[j] & above).bit_count()
+def _upper_rows(edges: np.ndarray, n: int) -> np.ndarray:
+    """Packed upper-neighbour rows, shape (ceil(n/64), batch, n), dtype uint64.
+
+    Bit j % 64 of word j // 64 of row (s, i) (0-based vertices) is set iff
+    graph s has edge (i+1, j+1) and j > i.  Packed one row at a time, so the
+    temporaries stay a (batch, 64 * words) bool block.
+    """
+    batch = edges.shape[0]
+    words = -(-n // 64)
+    up = np.zeros((words, batch, n), dtype=np.uint64)
+    row = np.zeros((batch, 64 * words), dtype=bool)
+    first = 0
+    for i in range(n - 1):  # the edges (i, j > i) are contiguous in canonical order
+        row[:, i] = False
+        row[:, i + 1 : n] = edges[:, first : first + n - 1 - i]
+        up[:, :, i] = np.packbits(row, axis=1, bitorder="little").view(np.dtype("<u8")).T
+        first += n - 1 - i
+    return up
+
+
+def _edge_rows(edges: np.ndarray, up: np.ndarray):
+    """Per vertex i: the edges (i, j > i) as a (batch, n-1-i) view, and their
+    candidates up_i & up_j as one (batch, n-1-i) array per word.
+
+    Vertices n-2 and n-1 are skipped: up_(n-1) is empty, so their upper
+    edges have no candidate.
+    """
+    n = up.shape[2]
+    first = 0
+    for i in range(n - 2):
+        yield edges[:, first : first + n - 1 - i], [u[:, i : i + 1] & u[:, i + 1 :] for u in up]
+        first += n - 1 - i
+
+
+def _popcount(words: list[np.ndarray]) -> np.ndarray:
+    total = np.bitwise_count(words[0]).astype(np.int64)
+    for w in words[1:]:
+        total += np.bitwise_count(w)
     return total
+
+
+def _extend(sample: np.ndarray, cand: list[np.ndarray], up: np.ndarray, need: int):
+    """Every one-vertex extension of a frontier, keeping those with >= need candidates.
+
+    Entry (s, C) becomes (s, C & up_v) for each v in C; ``cand`` holds C as one
+    array per word.  Per word, the entries are sorted by how many candidates
+    they hold there, most first; pass k then peels the lowest remaining
+    candidate off the prefix of entries holding more than k, vectorised over
+    that prefix.
+    """
+    n = up.shape[2]
+    rows = up.reshape(len(up), -1)
+    samples, cands = [sample[:0]], [[c[:0]] for c in cand]
+    for word, held_bits in enumerate(cand):
+        held = np.bitwise_count(held_bits)
+        order = np.argsort(held, kind="stable")[::-1]
+        sample_w, cand_w = sample[order], [c[order] for c in cand]
+        bits = cand_w[word].copy()
+        holding_more = len(held) - np.cumsum(np.bincount(held))
+        for active in holding_more[:-1]:
+            peel = bits[:active]
+            low = peel & -peel
+            s = sample_w[:active]
+            row = s * n + 64 * word + np.bitwise_count(low - 1)
+            ext = [c[:active] & np.take(r, row) for c, r in zip(cand_w, rows)]
+            keep = np.flatnonzero(_popcount(ext) >= need)
+            samples.append(s[keep])
+            for out, e in zip(cands, ext):
+                out.append(e[keep])
+            peel ^= low  # a view of bits: v leaves the entry's remaining candidates
+    return np.concatenate(samples), [np.concatenate(c) for c in cands]
+
+
+def count_cliques_batch(edge_bits: np.ndarray, n: int, r: int) -> np.ndarray:
+    """r-clique count of every graph in a batch; agrees with count_cliques per graph.
+
+    ``edge_bits`` is a (batch, C(n,2)) 0/1 array in canonical edge order.  Each
+    clique is found once, in increasing vertex order, from a frontier of
+    (sample, candidate mask) pairs over packed upper-neighbour rows: it starts
+    at the present edges i<j with candidates up_i & up_j, grows one vertex per
+    level, vectorised over the frontier, and drops entries with too few
+    candidates left.  The last vertex is counted by popcount.
+    """
+    if r < 3:
+        raise DomainError(f"clique size must be >= 3, got r={r}")
+    edges = np.asarray(edge_bits, dtype=bool)
+    m = EdgeGround(n).size
+    if edges.ndim != 2 or edges.shape[1] != m:
+        raise DomainError(f"need a (batch, {m}) edge array, got shape {edges.shape}")
+    batch = edges.shape[0]
+    if r > n:
+        return np.zeros(batch, dtype=np.int64)
+    up = _upper_rows(edges, n)
+    if r == 3:
+        per_edge = np.zeros((batch, n - 1), dtype=np.int64)  # column j - i - 1 of edge (i, j)
+        for present, cand in _edge_rows(edges, up):
+            for c in cand:
+                c *= present  # an absent edge closes no triangle
+                per_edge[:, : c.shape[1]] += np.bitwise_count(c)
+        return per_edge.sum(axis=1)
+    samples, cands = [], [[] for _ in up]
+    for present, cand in _edge_rows(edges, up):
+        sample, edge = np.nonzero(present & (_popcount(cand) >= r - 2))
+        samples.append(sample)
+        for out, c in zip(cands, cand):
+            out.append(c[sample, edge])
+    sample, cand = np.concatenate(samples), [np.concatenate(c) for c in cands]
+    for need in range(r - 3, 0, -1):
+        sample, cand = _extend(sample, cand, up, need)
+    # float weights are exact: a per-graph total near 2^53 could not fit in memory
+    return np.bincount(sample, weights=_popcount(cand), minlength=batch).astype(np.int64)
 
 
 # -- exhaustive enumeration ------------------------------------------------
@@ -227,8 +327,14 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
         )
     graphs = np.arange(1 << m, dtype=np.uint32)
     counts = np.zeros(1 << m, dtype=np.int64)
+    # one pair of scratch tables for every mask, so the cost does not depend on
+    # whether the allocator hands each fresh table recycled or new pages
+    masked = np.empty_like(graphs)
+    hit = np.empty(graphs.shape, dtype=bool)
     for mask in clique_edge_masks(ground, r):
-        counts += (graphs & np.uint32(mask)) == np.uint32(mask)
+        np.bitwise_and(graphs, np.uint32(mask), out=masked)
+        np.equal(masked, np.uint32(mask), out=hit)
+        counts += hit
     return counts
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquellt import (
     CliqueSpec,
@@ -10,7 +12,7 @@ from cliquellt import (
     EdgeGround,
     GraphAssignment,
     count_cliques,
-    count_triangles_bitset,
+    count_cliques_batch,
     covering_edge_subsets,
     exact_distribution,
     fourier_coeff_fr,
@@ -52,26 +54,96 @@ def test_count_cliques_complete_and_empty():
     assert count_cliques(GraphAssignment.empty(ground), 3) == 0
 
 
+def _edge_row(g: GraphAssignment) -> np.ndarray:
+    return np.array([g[idx] for idx in range(g.ground.size)], dtype=bool)
+
+
 def test_petersen_triangle_free():
     ground = EdgeGround(10)
     g = GraphAssignment.from_edges(ground, PETERSEN_EDGES)
     assert g.edge_count() == 15
     assert count_cliques(g, 3) == 0
-    assert count_triangles_bitset(g) == 0
+    assert count_cliques_batch(_edge_row(g)[None, :], 10, 3).tolist() == [0]
 
 
 def test_triangle_counters_agree():
     rng = np.random.default_rng(13)
     ground = EdgeGround(7)
-    for _ in range(50):
-        g = GraphAssignment(ground, int(rng.integers(0, 1 << ground.size)))
+    graphs = [GraphAssignment(ground, int(rng.integers(0, 1 << ground.size))) for _ in range(50)]
+    batch = count_cliques_batch(np.array([_edge_row(g) for g in graphs]), 7, 3)
+    for g, counted in zip(graphs, batch):
         brute = sum(
             1
             for a, b, c in itertools.combinations(range(1, 8), 3)
             if g[ground.index(a, b)] and g[ground.index(a, c)] and g[ground.index(b, c)]
         )
         assert count_cliques(g, 3) == brute
-        assert count_triangles_bitset(g) == brute
+        assert counted == brute
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    r=st.integers(3, 7),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.05, 0.95),
+    batch=st.integers(1, 6),
+)
+def test_batch_kernel_matches_scalar_small_n(n, r, seed, p, batch):
+    ground = EdgeGround(n)
+    edges = np.random.default_rng(seed).random((batch, ground.size)) < p
+    counts = count_cliques_batch(edges, n, r)
+    assert counts.dtype == np.int64
+    for row, counted in zip(edges, counts):
+        bits = sum(1 << int(idx) for idx in np.nonzero(row)[0])
+        assert counted == count_cliques(GraphAssignment(ground, bits), r)
+    if r > n:
+        assert not counts.any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([31, 32, 33, 63, 64, 65]),
+    r=st.integers(3, 5),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.1, 0.5),
+)
+def test_batch_kernel_matches_scalar_word_boundaries(n, r, seed, p):
+    # rows of n > 64 vertices span two uint64 words; the top vertex sits on the boundary
+    ground = EdgeGround(n)
+    edges = np.random.default_rng(seed).random((2, ground.size)) < p
+    edges[0, ground.index(n - 2, n)] = edges[0, ground.index(n - 1, n)] = True
+    edges[0, ground.index(n - 2, n - 1)] = True
+    counts = count_cliques_batch(edges, n, r)
+    for row, counted in zip(edges, counts):
+        bits = sum(1 << int(idx) for idx in np.nonzero(row)[0])
+        assert counted == count_cliques(GraphAssignment(ground, bits), r)
+
+
+def test_batch_kernel_many_words():
+    # n = 300 spans five words per row; a planted K_7 on the top vertices sits in the last
+    n = 300
+    ground = EdgeGround(n)
+    edges = np.random.default_rng(5).random((2, ground.size)) < 0.04
+    for a, b in itertools.combinations(range(n - 6, n + 1), 2):
+        edges[1, ground.index(a, b)] = True
+    for r in (3, 4, 5):
+        counts = count_cliques_batch(edges, n, r)
+        for row, counted in zip(edges, counts):
+            bits = sum(1 << int(idx) for idx in np.nonzero(row)[0])
+            assert counted == count_cliques(GraphAssignment(ground, bits), r)
+        assert counts[1] >= math.comb(7, r)
+
+
+def test_batch_kernel_complete_empty_and_errors():
+    for n, r in ((5, 3), (5, 4), (9, 6), (65, 3)):
+        m = EdgeGround(n).size
+        edges = np.array([np.ones(m, dtype=bool), np.zeros(m, dtype=bool)])
+        assert count_cliques_batch(edges, n, r).tolist() == [math.comb(n, r), 0]
+    with pytest.raises(DomainError):
+        count_cliques_batch(np.zeros((1, 10), dtype=bool), 5, 2)
+    with pytest.raises(DomainError):
+        count_cliques_batch(np.zeros((1, 9), dtype=bool), 5, 3)
 
 
 def test_count_cliques_r4_brute():

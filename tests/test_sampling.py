@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -54,23 +55,82 @@ def test_clique_counts_reproducible_bit_identical():
 
 
 def test_clique_counts_r3_matches_general_path():
-    # the vectorized triangle path and the bitset path must agree sample-by-sample
+    # the batched kernel and scalar count_cliques must agree sample-by-sample, for r = 3..5
     from cliquellt.cliques import count_cliques
     from cliquellt.ground import EdgeGround, GraphAssignment
 
-    spec = CliqueSpec(n=8, r=3, p=0.5)
-    mc = MCConfig(seed=5, samples=200)
-    counts = sample_clique_counts(spec, mc)
     ground = EdgeGround(8)
-    rngs = mc.worker_rngs()
-    bits = (rngs[0].random((200, ground.size)) < 0.5).astype(np.float64)
-    redo = []
-    for row in bits:
-        mask = 0
-        for idx in np.nonzero(row)[0]:
-            mask |= 1 << int(idx)
-        redo.append(count_cliques(GraphAssignment(ground, mask), 3))
-    assert np.array_equal(counts, np.array(redo))
+    for r in (3, 4, 5):
+        spec = CliqueSpec(n=8, r=r, p=0.5)
+        mc = MCConfig(seed=5, samples=200)
+        counts = sample_clique_counts(spec, mc)
+        rngs = mc.worker_rngs()
+        bits = rngs[0].random((200, ground.size)) < 0.5
+        redo = []
+        for row in bits:
+            mask = 0
+            for idx in np.nonzero(row)[0]:
+                mask |= 1 << int(idx)
+            redo.append(count_cliques(GraphAssignment(ground, mask), r))
+        assert np.array_equal(counts, np.array(redo))
+        assert counts.any()
+
+
+def test_clique_counts_same_for_any_thread_count_and_chunk(monkeypatch):
+    from cliquellt import sampling
+
+    pools = []
+
+    class SpyPool(sampling.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", SpyPool)
+    for r in (3, 4):
+        spec = CliqueSpec(n=11, r=r, p=0.5)
+        for workers in (1, 2, 3, 4):
+            mc = MCConfig(seed=17, samples=301, workers=workers)
+            ref = sample_clique_counts(spec, mc)
+            assert ref.shape == (301,)
+            assert np.array_equal(ref, sample_clique_counts(spec, mc, chunk=7))
+            # one cpu is left to the rest of the host: no pool below 3 cpus
+            for cpus in (1, 2, 4):
+                del pools[:]
+                with monkeypatch.context() as host:
+                    host.setattr(os, "cpu_count", lambda: cpus)
+                    assert np.array_equal(ref, sample_clique_counts(spec, mc, chunk=64))
+                threads = min(workers, cpus - 1)
+                assert pools == ([threads] if threads > 1 else [])
+    # more workers than samples: the idle substreams contribute nothing
+    few = MCConfig(seed=17, samples=3, workers=4)
+    assert np.array_equal(sample_clique_counts(spec, few), sample_clique_counts(spec, few, chunk=1))
+    assert sample_clique_counts(spec, few).shape == (3,)
+    with pytest.raises(DomainError):
+        sample_clique_counts(spec, MCConfig(seed=0, samples=5), chunk=0)
+
+
+def test_doubled_run_shares_no_leading_draws():
+    # --self-check's doubled run must not start with the original run's draws
+    for workers in (1, 4):
+        mc = MCConfig(seed=7, samples=1000, workers=workers)
+        doubled = mc.doubled()
+        assert (doubled.samples, doubled.workers) == (2000, workers)
+        first = {float(rng.random()) for rng in mc.worker_rngs()}
+        first_doubled = {float(rng.random()) for rng in doubled.worker_rngs()}
+        assert len(first) == len(first_doubled) == workers
+        assert not first & first_doubled
+        spec = CliqueSpec(n=12, r=3, p=0.5)
+        a = sample_clique_counts(spec, mc)
+        b = sample_clique_counts(spec, doubled)
+        quota = mc.worker_quotas()[0]
+        assert not np.array_equal(a[:quota], b[:quota])
+    # stream 0 is the seed's first spawn, as before streams existed
+    assert MCConfig(seed=7, samples=10, workers=3).worker_rngs()[2].random() == (
+        np.random.default_rng(np.random.SeedSequence(7).spawn(3)[2]).random()
+    )
+    with pytest.raises(DomainError):
+        MCConfig(seed=0, samples=10, stream=-1)
 
 
 def test_triangle_count_mean_agreement():
