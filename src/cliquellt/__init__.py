@@ -47,7 +47,6 @@ from .decoupling import (
 from .distributions import (
     EmpiricalDistribution,
     LatticeSpec,
-    chf_exact_from_distribution,
     discrete_gaussian,
     l1_distance,
     lattice_inversion,

@@ -32,8 +32,8 @@ from .cliques import CliqueSpec, exact_distribution, moments
 from .cliques import EXACT_DISTRIBUTION_EDGE_CAP, fr_function
 from .decoupling import build_color_partition, decoupling_check
 from .distributions import LatticeSpec, discrete_gaussian, l1_distance, linf_distance
-from .ground import EdgeGround, binom
-from .pbf import popcount_array
+from .ground import binom
+from .pbf import assignment_weights
 from .sampling import (
     MCConfig,
     empirical_chf_grid,
@@ -242,10 +242,8 @@ def cmd_bounds_check(args) -> int:
     # hypercontractive moment bound against an exact 4th moment (n=4, f = kappa-style quadratic)
     spec = CliqueSpec(n=4, r=3, p=p, tau=args.tau)
     f = fr_function(spec).tail(1)
-    m = EdgeGround(4).size
-    pops = popcount_array(m)
-    weights = p**pops * (1 - p) ** (m - pops)
-    vals = np.array([f.eval(bits) for bits in range(1 << m)])
+    weights = assignment_weights(f.ground.size, p)
+    vals = f.table()
     exact4 = float(np.sum(weights * vals**4))
     hp = HypParams(d=f.degree(), lam=min(p, 1 - p))
     record("hyperconc_moment", hyperconc_moment(hp, f.norm2(), 2.0) - exact4)
@@ -262,11 +260,9 @@ def cmd_bounds_check(args) -> int:
     kap = (1.0 / sigma) * (fr5 - fr5.degree_slice(0))
     x_part = kap.degree_slice(1)
     y_part = kap.tail(1)
-    m5 = EdgeGround(5).size
-    pops5 = popcount_array(m5)
-    w5 = p**pops5 * (1 - p) ** (m5 - pops5)
-    xv = np.array([x_part.eval(bits) for bits in range(1 << m5)])
-    zv = np.array([kap.eval(bits) for bits in range(1 << m5)])
+    w5 = assignment_weights(kap.ground.size, p)
+    xv = x_part.table()
+    zv = kap.table()
     a2 = max(c * c for c in x_part.coeffs.values())
     bp_t = 0.5
     gap = abs(np.sum(w5 * np.exp(1j * bp_t * zv)) - np.sum(w5 * np.exp(1j * bp_t * xv)))

@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import EmpiricalDistribution, LatticeSpec
 from .errors import CapacityError, DomainError
 from .ground import EdgeGround, GraphAssignment, binom
-from .pbf import PBFunction, popcount_array
+from .pbf import PBFunction, assignment_weights
 
 EXACT_DISTRIBUTION_EDGE_CAP = 21
 LOG_SPACE_VERTEX_THRESHOLD = 1000
@@ -341,10 +341,7 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
 def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
     """Exact law of f_r under G(n,p), on the integer lattice (b=0, h=1)."""
     counts = counts_over_all_graphs(spec.n, spec.r)
-    m = spec.ground.size
-    pops = popcount_array(m)
-    probs = spec.p**pops * (1.0 - spec.p) ** (m - pops)
-    mass_by_count = np.bincount(counts, weights=probs)
+    mass_by_count = np.bincount(counts, weights=assignment_weights(spec.ground.size, spec.p))
     lattice = LatticeSpec(0.0, 1.0)
     mass = {float(c): float(w) for c, w in enumerate(mass_by_count) if w > 0.0}
     return EmpiricalDistribution(lattice, mass)

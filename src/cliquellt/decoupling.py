@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
-from .pbf import PBFunction, chi_value
+from .pbf import PBFunction, assignment_weights, chi_value
 from .sampling import MCConfig
 
 INNER_ENUMERATION_EDGE_CAP = 20
@@ -255,18 +255,13 @@ def rainbow_cliques(part: BlockPartition, r: int) -> list[tuple[int, ...]]:
 
 
 def exact_chf(f: PBFunction, t: float) -> complex:
-    """E[e^{itf}] by exhaustive weighted enumeration (EdgeGround only)."""
+    """E[e^{itf}] by exhaustive weighted enumeration of f's truth table (EdgeGround only)."""
     if not isinstance(f.ground, EdgeGround):
         raise DomainError("exact_chf enumerates a base EdgeGround")
     m = f.ground.size
     if m > INNER_ENUMERATION_EDGE_CAP:
         raise CapacityError(f"exact chf capped at {INNER_ENUMERATION_EDGE_CAP} edges, got {m}")
-    p = f.p
-    total = 0.0 + 0.0j
-    for bits in range(1 << m):
-        w = p ** bits.bit_count() * (1.0 - p) ** (m - bits.bit_count())
-        total += w * np.exp(1j * t * f.eval(bits))
-    return complex(total)
+    return complex(np.dot(assignment_weights(m, f.p), np.exp(1j * t * f.table())))
 
 
 @dataclass(frozen=True)
@@ -315,16 +310,15 @@ def decoupling_check(
     ns = len(x_keys)
 
     # chi_S(x) table over all X assignments, plus G(n,p) weights for X.
+    x_bits = np.arange(1 << nx)
+    chi_cols = [np.where((x_bits >> i) & 1, c1, c0) for i in range(nx)]
     chi_x = np.empty((ns, 1 << nx))
-    wx = np.empty(1 << nx)
-    for bits in range(1 << nx):
-        vals = [c1 if (bits >> i) & 1 else c0 for i in range(nx)]
-        wx[bits] = p ** bin(bits).count("1") * (1.0 - p) ** (nx - bin(bits).count("1"))
-        for xk, s_idx in x_keys.items():
-            prod = 1.0
-            for v in xk:
-                prod *= vals[x_pos[v]]
-            chi_x[s_idx, bits] = prod
+    for xk, s_idx in x_keys.items():
+        prod = np.ones(1 << nx)
+        for v in xk:
+            prod *= chi_cols[x_pos[v]]
+        chi_x[s_idx] = prod
+    wx = assignment_weights(nx, p)
 
     abs_vals: list[np.ndarray] = []
     for rng, quota in zip(mc.worker_rngs(), mc.worker_quotas()):

@@ -107,10 +107,6 @@ class EmpiricalDistribution:
         return cls(lattice, mass)
 
 
-def chf_exact_from_distribution(dist: EmpiricalDistribution, t: float) -> complex:
-    return dist.chf(t)
-
-
 def discrete_gaussian(lattice: LatticeSpec, mu: float, sigma: float) -> EmpiricalDistribution:
     """h * N(mu, sigma^2) density sampled on lattice points within +-12 sigma.
 

@@ -100,6 +100,22 @@ class PBFunction:
             total += term
         return total
 
+    def table(self) -> np.ndarray:
+        """f(g) for every assignment bitmask g in [0, 2^m): the inverse butterfly.
+
+        The coefficients are scattered into a 2^m array indexed by key bitmask;
+        per edge, v0' = v0 + chi(0) v1 and v1' = v0 + chi(1) v1 turns that
+        edge's key bit into its assignment bit.  Inverse of fourier_transform.
+        """
+        m = self.ground.size
+        if m > TRANSFORM_EDGE_CAP:
+            raise CapacityError(f"truth table capped at {TRANSFORM_EDGE_CAP} edges, got {m}")
+        v = np.zeros(1 << m)
+        for S, c in self.coeffs.items():
+            v[sum(1 << e for e in S)] = c
+        c0, c1 = chi_value(self.p, 0), chi_value(self.p, 1)
+        return _butterfly(v, m, lambda v0, v1: (v0 + c0 * v1, v0 + c1 * v1))
+
     def _check_assignment(self, g: GraphAssignment) -> int:
         if isinstance(self.ground, EdgeGround):
             if not isinstance(g.ground, EdgeGround) or g.ground != self.ground:
@@ -230,9 +246,12 @@ def multiply(f: PBFunction, g: PBFunction) -> PBFunction:
 
 
 def assignment_weights(m: int, p: float) -> np.ndarray:
-    """P_p(g) for every bitmask g in [0, 2^m): p^{popcount} (1-p)^{m-popcount}."""
-    pops = popcount_array(m)
-    return p**pops * (1.0 - p) ** (m - pops)
+    """P_p(g) for every bitmask g in [0, 2^m): p^{popcount} (1-p)^{m-popcount}.
+
+    The m+1 distinct weights are computed once and gathered by popcount.
+    """
+    k = np.arange(m + 1)
+    return (p**k * (1.0 - p) ** (m - k))[popcount_array(m)]
 
 
 def popcount_array(m: int) -> np.ndarray:
@@ -245,6 +264,18 @@ def popcount_array(m: int) -> np.ndarray:
         out[block : 2 * block] = out[:block] + 1
         block *= 2
     return out
+
+
+def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
+    """Apply a per-edge 2x2 step to a table of length 2^m, in place, edge 0 first.
+
+    ``step(v0, v1)`` gets the halves of the table with edge e's bit 0 and 1 and
+    returns their new values, computed before either half is overwritten.
+    """
+    for e in range(m):
+        w = v.reshape(-1, 2, 1 << e)
+        w[:, 0, :], w[:, 1, :] = step(w[:, 0, :], w[:, 1, :])
+    return v
 
 
 def fourier_transform(
@@ -272,15 +303,8 @@ def fourier_transform(
         raise DomainError(f"p must lie in (0,1), got {p}")
 
     # Per-edge butterfly: the weighted transform factorizes over edges.
-    v = vals.copy()
     root = math.sqrt(p * (1.0 - p))
-    for e in range(m):
-        v = v.reshape(-1, 2, 1 << e)
-        v0 = v[:, 0, :].copy()
-        v1 = v[:, 1, :]
-        v[:, 0, :] = (1.0 - p) * v0 + p * v1
-        v[:, 1, :] = root * (v1 - v0)
-    v = v.reshape(-1)
+    v = _butterfly(vals.copy(), m, lambda v0, v1: ((1.0 - p) * v0 + p * v1, root * (v1 - v0)))
 
     coeffs: dict[Key, float] = {}
     nz = np.nonzero(np.abs(v) > PRUNE_TOL)[0]

@@ -66,9 +66,7 @@ def sample_gnp(n: int, p: float, rng: np.random.Generator) -> GraphAssignment:
         raise DomainError(f"p must lie in (0,1), got {p}")
     ground = EdgeGround(n)
     draws = rng.random(ground.size) < p
-    bits = 0
-    for idx in np.nonzero(draws)[0]:
-        bits |= 1 << int(idx)
+    bits = int.from_bytes(np.packbits(draws, bitorder="little").tobytes(), "little")
     return GraphAssignment(ground, bits)
 
 

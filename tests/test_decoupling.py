@@ -26,7 +26,8 @@ from cliquellt import (
     kappa_function,
     rainbow_cliques,
 )
-from cliquellt.pbf import gamma_coeff
+from cliquellt.cliques import counts_over_all_graphs
+from cliquellt.pbf import assignment_weights, gamma_coeff
 
 
 def bisection_partition(n):
@@ -309,6 +310,42 @@ def test_exact_chf():
     )
     assert got == pytest.approx(want, abs=1e-12)
     assert exact_chf(f, 0.0) == pytest.approx(1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_exact_chf_against_fsum_of_clique_counts(p):
+    f = fr_function(CliqueSpec(n=6, r=3, p=p))
+    counts = counts_over_all_graphs(6, 3).tolist()
+    weights = assignment_weights(15, p).tolist()
+    for t in (0.5, 1.0, 2.0):
+        re = math.fsum(w * math.cos(t * c) for w, c in zip(weights, counts))
+        im = math.fsum(w * math.sin(t * c) for w, c in zip(weights, counts))
+        assert abs(exact_chf(f, t) - complex(re, im)) < 1e-13
+
+
+def test_decoupling_check_golden_bits():
+    # rhs and rhs_stderr pinned bit for bit: how the inner X enumeration builds
+    # its tables must not change the Monte Carlo side
+    part = build_color_partition(5, 1, [3, 2])
+    golden = {  # (p, seed, samples, workers): (rhs, rhs_stderr) at t = 0.5, 1, 2
+        (0.5, 1, 2000, 1): [
+            ("0x1.dc9c65136c1a2p-1", "0x1.5b1e7bf722271p-10"),
+            ("0x1.8292f352efc85p-1", "0x1.1038b458f48f8p-8"),
+            ("0x1.b06838121c7cap-2", "0x1.931925867f82bp-8"),
+        ],
+        (0.3, 4, 3000, 2): [
+            ("0x1.f2c31029bb64ep-1", "0x1.2b4ed0ab7fc42p-11"),
+            ("0x1.cee9d69e5ad66p-1", "0x1.0210dd7f1cc71p-9"),
+            ("0x1.7170c86b961ccp-1", "0x1.30c0a37a7154fp-8"),
+        ],
+    }
+    for (p, seed, samples, workers), rows in golden.items():
+        f = fr_function(CliqueSpec(n=5, r=3, p=p))
+        mc = MCConfig(seed=seed, samples=samples, workers=workers)
+        for t, (rhs, stderr) in zip((0.5, 1.0, 2.0), rows):
+            chk = decoupling_check(f, part, t, mc)
+            assert chk.rhs == float.fromhex(rhs)
+            assert chk.rhs_stderr == float.fromhex(stderr)
 
 
 def test_decoupling_check_holds():

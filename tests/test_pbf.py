@@ -3,16 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquellt import (
     CapacityError,
+    CliqueSpec,
     DomainError,
     EdgeGround,
     PBFunction,
     chi_value,
     fourier_transform,
+    fr_function,
     multiply,
 )
+from cliquellt.cliques import counts_over_all_graphs
 from cliquellt.pbf import assignment_weights, gamma_coeff, popcount_array
 
 
@@ -130,6 +135,54 @@ def test_transform_callable_and_cap():
     assert f.degree() == 1
     with pytest.raises(CapacityError):
         fourier_transform(np.zeros(4), EdgeGround(8), 0.5)
+    assert PBFunction.constant(EdgeGround(1), 0.4, 2.5).table().tolist() == [2.5]
+    with pytest.raises(CapacityError):
+        PBFunction.constant(EdgeGround(8), 0.5, 1.0).table()
+
+
+TABLE_CASES = dict(
+    n=st.integers(1, 5),
+    p=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**TABLE_CASES)
+def test_table_round_trips_with_transform(n, p, seed):
+    rng = np.random.default_rng(seed)
+    ground = EdgeGround(n)
+    f = random_function(ground, p, rng, max_degree=3)
+    # coefficients -> table -> coefficients
+    g = fourier_transform(f.table(), ground, p)
+    for S in set(f.coeffs) | set(g.coeffs):
+        assert g.coeff(S) == pytest.approx(f.coeff(S), abs=1e-9)
+    # table -> coefficients -> table
+    vals = rng.normal(size=1 << ground.size)
+    back = fourier_transform(vals, ground, p).table()
+    np.testing.assert_allclose(back, vals, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**TABLE_CASES, masks=st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=20))
+def test_table_matches_eval_pointwise(n, p, seed, masks):
+    ground = EdgeGround(n)
+    f = random_function(ground, p, np.random.default_rng(seed), max_degree=3)
+    table = f.table()
+    assert table.shape == (1 << ground.size,)
+    for mask in masks:
+        mask %= 1 << ground.size
+        assert table[mask] == pytest.approx(f.eval(mask), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_fr_table_is_the_exact_clique_count(n):
+    # at p = 1/2 every chi value and coefficient is dyadic, so the table is exact
+    for r in range(3, n + 1):
+        table = fr_function(CliqueSpec(n=n, r=r, p=0.5)).table()
+        assert np.array_equal(table, counts_over_all_graphs(n, r))
+        near = fr_function(CliqueSpec(n=n, r=r, p=0.3)).table()
+        np.testing.assert_allclose(near, counts_over_all_graphs(n, r), rtol=0.0, atol=1e-13)
 
 
 def test_multiply_pointwise_oracle():
@@ -243,6 +296,8 @@ def test_popcount_and_weights():
     assert pops[0] == 0 and pops[63] == 6 and pops[5] == 2
     w = assignment_weights(6, 0.3)
     assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-12)
+    # the popcount lookup gives the bits of the elementwise formula
+    assert np.array_equal(w, 0.3**pops * (1 - 0.3) ** (6 - pops))
 
 
 def test_ground_mismatch_rejected():

@@ -45,6 +45,15 @@ def test_sample_gnp_deterministic():
     assert g1.bits == g2.bits
 
 
+def test_sample_gnp_bits_match_edge_loop():
+    # edge idx of the draws is bit idx of the mask, over byte boundaries too
+    for n in (1, 2, 4, 5, 12, 50):
+        for seed in range(3):
+            draws = np.random.default_rng(seed).random(n * (n - 1) // 2) < 0.4
+            want = sum(1 << int(idx) for idx in np.nonzero(draws)[0])
+            assert sample_gnp(n, 0.4, np.random.default_rng(seed)).bits == want
+
+
 def test_clique_counts_reproducible_bit_identical():
     spec = CliqueSpec(n=12, r=3, p=0.4)
     for workers in (1, 3):
