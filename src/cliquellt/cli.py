@@ -62,7 +62,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=_env_default("n", 6))
     p.add_argument("--r", type=int, default=_env_default("r", 3))
     p.add_argument("--p", type=float, dest="prob", default=_env_default("p", 0.5))
-    p.add_argument("--tau", type=float, default=_env_default("tau", 0.05))
     p.add_argument("--seed", type=int, default=_env_default("seed", 0))
     p.add_argument("--samples", type=int, default=_env_default("samples", 10000))
     p.add_argument("--workers", type=int, default=_env_default("workers", 1))
@@ -75,7 +74,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    keys = ("n", "r", "prob", "tau", "seed", "samples", "workers", "t_min", "t_max", "t_steps")
+    keys = ("n", "r", "prob", "seed", "samples", "workers", "t_min", "t_max", "t_steps")
     cfg = {k: getattr(args, k) for k in keys if hasattr(args, k)}
     cfg["version"] = __version__
     return cfg
@@ -108,7 +107,7 @@ def _t_grid(args) -> np.ndarray:
 
 
 def _spec(args) -> CliqueSpec:
-    return CliqueSpec(n=args.n, r=args.r, p=args.prob, tau=args.tau)
+    return CliqueSpec(n=args.n, r=args.r, p=args.prob)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -128,11 +127,11 @@ def cmd_moments(args) -> int:
     ok = True
     if binom(spec.n, 2) <= EXACT_DISTRIBUTION_EDGE_CAP:
         dist = exact_distribution(spec)
-        extra["enum_mu"] = f"{dist.mean():.17g}"
-        extra["enum_sigma2"] = f"{dist.variance():.17g}"
-        ok = abs(dist.mean() - mom.mu) < 1e-9 and abs(dist.variance() - mom.sigma2) < 1e-9
-        rows.append(["enum_mu", dist.mean()])
-        rows.append(["enum_sigma2", dist.variance()])
+        enum_mu, enum_sigma2 = dist.mean(), dist.variance()
+        extra["enum_mu"] = f"{enum_mu:.17g}"
+        extra["enum_sigma2"] = f"{enum_sigma2:.17g}"
+        ok = abs(enum_mu - mom.mu) < 1e-9 and abs(enum_sigma2 - mom.sigma2) < 1e-9
+        rows += [["enum_mu", enum_mu], ["enum_sigma2", enum_sigma2]]
     _emit(args, ["quantity", "value"], rows, extra)
     return 0 if ok else 1
 
@@ -159,7 +158,7 @@ def cmd_llt_verify(args) -> int:
     scaled = []
     for n in range(5, args.n + 1):
         m = binom(n, 2)
-        spec = CliqueSpec(n=n, r=args.r, p=args.prob, tau=args.tau)
+        spec = CliqueSpec(n=n, r=args.r, p=args.prob)
         if m <= EXACT_DISTRIBUTION_EDGE_CAP:
             dist = exact_distribution(spec)
         else:
@@ -240,7 +239,7 @@ def cmd_bounds_check(args) -> int:
     record("berry_esseen", worst)
 
     # hypercontractive moment bound against an exact 4th moment (n=4, f = kappa-style quadratic)
-    spec = CliqueSpec(n=4, r=3, p=p, tau=args.tau)
+    spec = CliqueSpec(n=4, r=3, p=p)
     f = fr_function(spec).tail(1)
     weights = assignment_weights(f.ground.size, p)
     vals = f.table()
@@ -254,7 +253,7 @@ def cmd_bounds_check(args) -> int:
     record("hyperconc_tail", hyperconc_tail(hp, f.norm2(), tmin) - exceed)
 
     # mainchf bound: X = normalized edge sum, Y = degree->=2 part of f_r, on n=4
-    spec5 = CliqueSpec(n=5, r=3, p=p, tau=args.tau)
+    spec5 = CliqueSpec(n=5, r=3, p=p)
     fr5 = fr_function(spec5)
     sigma = spec5.sigma
     kap = (1.0 / sigma) * (fr5 - fr5.degree_slice(0))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .distributions import EmpiricalDistribution, LatticeSpec
 from .errors import CapacityError, DomainError
-from .ground import EdgeGround, GraphAssignment, binom
+from .ground import EdgeGround, GraphAssignment, binom, support_vertices
 from .pbf import PBFunction, assignment_weights
 
 EXACT_DISTRIBUTION_EDGE_CAP = 21
@@ -22,21 +22,17 @@ LOG_SPACE_VERTEX_THRESHOLD = 1000
 
 @dataclass(frozen=True)
 class CliqueSpec:
-    """Parameters of the r-clique count on G(n,p), plus the fixed constant tau."""
+    """Parameters of the r-clique count on G(n,p)."""
 
     n: int
     r: int
     p: float
-    tau: float = 0.05
 
     def __post_init__(self):
         if self.r < 3:
             raise DomainError(f"clique size must be >= 3, got r={self.r}")
         if not (0.0 < self.p < 1.0):
             raise DomainError(f"p must lie in (0,1), got {self.p}")
-        hi = min(1.0 / 12.0, 1.0 / (2 * self.r))
-        if not (0.0 < self.tau < hi):
-            raise DomainError(f"tau must lie in (0, {hi:.6g}), got {self.tau}")
 
     @property
     def lam(self) -> float:
@@ -101,13 +97,7 @@ def fourier_coeff_fr(spec: CliqueSpec, edges: Iterable[int]) -> float:
     clique containing S): p^C(r,2) * ((1-p)/p)^{|S|/2} * C(n - s, r - s).
     """
     S = frozenset(edges)
-    ground = spec.ground
-    verts: set[int] = set()
-    for idx in S:
-        i, j = ground.edge(idx)
-        verts.add(i)
-        verts.add(j)
-    s = len(verts)
+    s = len(support_vertices(spec.ground, S))
     if s > spec.r:
         return 0.0
     ratio = (1.0 - spec.p) / spec.p
@@ -342,9 +332,8 @@ def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
     """Exact law of f_r under G(n,p), on the integer lattice (b=0, h=1)."""
     counts = counts_over_all_graphs(spec.n, spec.r)
     mass_by_count = np.bincount(counts, weights=assignment_weights(spec.ground.size, spec.p))
-    lattice = LatticeSpec(0.0, 1.0)
-    mass = {float(c): float(w) for c, w in enumerate(mass_by_count) if w > 0.0}
-    return EmpiricalDistribution(lattice, mass)
+    k = np.flatnonzero(mass_by_count > 0.0)
+    return EmpiricalDistribution.from_indices(LatticeSpec(0.0, 1.0), k, mass_by_count[k])
 
 
 # -- Fourier expansion as an explicit PBFunction (small n) -----------------
@@ -359,14 +348,8 @@ def fr_function(spec: CliqueSpec) -> PBFunction:
             all_edges = [ground.index(a, b) for a, b in combinations(verts, 2)]
             for msize in range(1, len(all_edges) + 1):
                 for S in combinations(all_edges, msize):
-                    vs: set[int] = set()
-                    for idx in S:
-                        a, b = ground.edge(idx)
-                        vs.add(a)
-                        vs.add(b)
-                    if len(vs) != t:
-                        continue  # counted at its own support size
-                    coeffs[frozenset(S)] = fourier_coeff_fr(spec, S)
+                    if len(support_vertices(ground, S)) == t:  # once, at its own support size
+                        coeffs[frozenset(S)] = fourier_coeff_fr(spec, S)
     return PBFunction(ground, spec.p, coeffs)
 
 

@@ -139,8 +139,5 @@ def empirical_chf_grid(values: np.ndarray, ts: np.ndarray) -> list[ChfEstimate]:
 
 def empirical_distribution(values: np.ndarray, lattice: LatticeSpec) -> EmpiricalDistribution:
     """Exact counts/N masses on the given lattice."""
-    values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    uniq, counts = np.unique(values, return_counts=True)
-    mass = {float(x): int(c) / n for x, c in zip(uniq, counts)}
-    return EmpiricalDistribution(lattice, mass)
+    uniq, counts = np.unique(np.asarray(values, dtype=np.float64), return_counts=True)
+    return EmpiricalDistribution.from_indices(lattice, lattice.index(uniq), counts / counts.sum())

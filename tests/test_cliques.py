@@ -41,10 +41,16 @@ def test_spec_validation():
         CliqueSpec(n=5, r=2, p=0.5)
     with pytest.raises(DomainError):
         CliqueSpec(n=5, r=3, p=1.5)
-    with pytest.raises(DomainError):
-        CliqueSpec(n=5, r=3, p=0.5, tau=0.2)
     spec = CliqueSpec(n=5, r=3, p=0.3)
     assert spec.lam == pytest.approx(0.3)
+
+
+def test_large_clique_size_accepted():
+    # regression: a tau default of 0.05 used to reject every r >= 10
+    spec = CliqueSpec(n=12, r=10, p=0.5)
+    mom = moments(spec)
+    assert mom.mu == pytest.approx(math.comb(12, 10) * 0.5 ** math.comb(10, 2))
+    assert mom.sigma2 > 0.0
 
 
 def test_count_cliques_complete_and_empty():
@@ -81,7 +87,7 @@ def test_triangle_counters_agree():
         assert counted == brute
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     n=st.integers(1, 12),
     r=st.integers(3, 7),
@@ -101,7 +107,7 @@ def test_batch_kernel_matches_scalar_small_n(n, r, seed, p, batch):
         assert not counts.any()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     n=st.sampled_from([31, 32, 33, 63, 64, 65]),
     r=st.integers(3, 5),

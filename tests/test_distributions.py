@@ -1,8 +1,9 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquellt import (
     CliqueSpec,
@@ -22,7 +23,7 @@ def test_lattice_basics():
     lat = LatticeSpec(0.5, 0.25)
     assert lat.contains(0.75)
     assert not lat.contains(0.8)
-    assert lat.snap(0.75 + 1e-12) == pytest.approx(0.75)
+    assert lat.point(lat.index(0.75 + 1e-12)) == pytest.approx(0.75)
     assert lat.point(2) == 1.0
     assert lat.compatible(LatticeSpec(0.25, 0.25))
     assert not lat.compatible(LatticeSpec(0.5, 0.5))
@@ -56,6 +57,8 @@ def test_csv_round_trip():
     assert text.splitlines()[0] == "value,probability"
     d2 = EmpiricalDistribution.from_csv(text, lat)
     assert d2.mass == d.mass
+    with pytest.raises(TypeError):
+        d.mass[1.0] = 0.5  # a read-only view of the arrays
 
 
 def test_rescale():
@@ -117,13 +120,6 @@ def test_inversion_bernoulli():
     assert lattice_inversion(chf, lat, 2.0) == pytest.approx(0.0, abs=1e-8)
 
 
-def test_inversion_scalar_callable():
-    p = 0.4
-    lat = LatticeSpec(0.0, 1.0)
-    chf = lambda t: (1 - p) + p * cmath.exp(1j * t)
-    assert lattice_inversion(chf, lat, 1.0) == pytest.approx(p, abs=1e-8)
-
-
 def test_inversion_exact_triangle_law():
     spec = CliqueSpec(n=4, r=3, p=0.5)
     dist = exact_distribution(spec)
@@ -138,3 +134,123 @@ def test_inversion_off_lattice_rejected():
     lat = LatticeSpec(0.0, 1.0)
     with pytest.raises(DomainError):
         lattice_inversion(lambda t: 1.0 + 0j, lat, 0.5)
+
+
+def test_sparse_indices_stay_sparse():
+    d = EmpiricalDistribution(LatticeSpec(0.0, 1.0), {0.0: 0.5, 1e12: 0.5})
+    assert d.k.tolist() == [0, 10**12]
+    assert d.mean() == 5e11
+
+
+def test_offset_lattices_align():
+    # regression: the same 20 masses on two compatible lattices with different
+    # origins were compared by float key and did not line up
+    masses = {0.1 + 0.3 * k: 0.1 for k in range(20)}
+    d1 = EmpiricalDistribution(LatticeSpec(0.1, 0.3), masses)
+    d2 = EmpiricalDistribution(LatticeSpec(0.4, 0.3), masses)
+    assert linf_distance(d1, d2) == 0.0
+    assert l1_distance(d1, d2) == 0.0
+    from cliquellt.distributions import _mass_difference
+
+    assert _mass_difference(d1, d2).size == 20
+
+
+lattices = st.builds(LatticeSpec, b=st.floats(-5.0, 5.0), h=st.floats(0.1, 3.0))
+laws = st.dictionaries(st.integers(-100, 100), st.floats(0.0, 1.0), min_size=1, max_size=30)
+
+
+def _on(lattice, law):
+    return EmpiricalDistribution.from_indices(lattice, list(law), list(law.values()))
+
+
+@settings(max_examples=100)
+@given(lat=lattices, law=laws, other=laws, j=st.integers(-50, 50))
+def test_distances_invariant_under_offset_relabelling(lat, law, other, j):
+    d = _on(lat, law)
+    # the same law written on the origin b + j*h, with every index moved by -j
+    moved = EmpiricalDistribution.from_indices(LatticeSpec(lat.b + j * lat.h, lat.h), d.k - j, d.masses)
+    e = _on(lat, other)
+    assert linf_distance(d, moved) == 0.0
+    assert l1_distance(d, moved) == 0.0
+    assert linf_distance(moved, e) == linf_distance(d, e)
+    assert l1_distance(moved, e) == l1_distance(d, e)
+    assert l1_distance(e, moved) == l1_distance(e, d)
+    # on one lattice, both agree with the sum over the union of float keys
+    diffs = [abs(d.mass.get(x, 0.0) - e.mass.get(x, 0.0)) for x in set(d.mass) | set(e.mass)]
+    assert linf_distance(d, e) == max(diffs)
+    assert l1_distance(d, e) == pytest.approx(math.fsum(diffs), rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=100)
+@given(
+    lat=lattices,
+    weights=st.dictionaries(st.integers(-100, 100), st.floats(0.01, 1.0), min_size=1, max_size=30),
+    shift=st.floats(-10.0, 10.0),
+    scale=st.floats(0.1, 10.0),
+)
+def test_rescale_moves_moments_and_keeps_masses(lat, weights, shift, scale):
+    w = np.array(list(weights.values()))
+    d = EmpiricalDistribution.from_indices(lat, list(weights), w / w.sum())
+    r = d.rescale(shift, scale)
+    assert r.lattice.h == pytest.approx(lat.h / scale)
+    assert r.mean() == pytest.approx((d.mean() - shift) / scale, rel=1e-9, abs=1e-9)
+    assert r.variance() == pytest.approx(d.variance() / scale**2, rel=1e-9, abs=1e-9)
+    for x, m in d.mass.items():
+        assert r.prob((x - shift) / scale) == m
+
+
+@settings(max_examples=100)
+@given(
+    lat=lattices,
+    entries=st.lists(st.tuples(st.integers(-100, 100), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+)
+def test_mapping_constructor_merges_keys_on_one_point(lat, entries):
+    # entry i sits i * 1e-11 steps off its point: distinct keys, one lattice point
+    mass = {lat.point(k) + i * 1e-11 * lat.h: m for i, (k, m) in enumerate(entries)}
+    expect: dict[int, float] = {}
+    for k, m in entries:
+        expect[k] = expect.get(k, 0.0) + m
+    d = EmpiricalDistribution(lat, mass)
+    assert d.k.tolist() == sorted(expect)
+    assert d.masses.tolist() == pytest.approx([expect[k] for k in sorted(expect)])
+
+
+@settings(max_examples=60)
+@given(lat=lattices, law=laws, ts=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
+def test_chf_on_an_array_matches_scalar_chf(lat, law, ts):
+    d = _on(lat, law)
+    got = d.chf(np.array(ts))
+    assert got.shape == (len(ts),) and got.dtype == np.complex128
+    for t, value in zip(ts, got):
+        scalar = d.chf(t)
+        assert isinstance(scalar, complex)
+        assert abs(value - scalar) <= 1e-12 * max(1.0, d.total())
+    assert d.chf(np.array(ts).reshape(-1, 1)).shape == (len(ts), 1)
+
+
+def test_chf_blocks_agree_with_loop_reference():
+    d = exact_distribution(CliqueSpec(n=6, r=3, p=0.3))
+    ts = np.linspace(-math.pi, math.pi, 5001)  # 16 support points: blocks of 4096 t
+    got = d.chf(ts)
+    for i in (0, 1, 4095, 4096, 4097, 5000):
+        t = float(ts[i])
+        ref = sum(m * complex(math.cos(t * x), math.sin(t * x)) for x, m in d.mass.items())
+        assert abs(got[i] - ref) < 1e-13
+
+
+@settings(max_examples=100)
+@given(lat=lattices, k=st.integers(-10**6, 10**6), frac=st.floats(0.01, 0.99))
+def test_index_round_trips_and_rejects_off_lattice(lat, k, frac):
+    assert lat.index(lat.point(k)) == k
+    assert lat.index(np.array([lat.point(k), lat.point(k + 1)])).tolist() == [k, k + 1]
+    with pytest.raises(DomainError):
+        lat.index(lat.point(k + frac))
+    with pytest.raises(DomainError):
+        lat.index(np.array([lat.point(k), lat.point(k + frac)]))
+
+
+def test_index_rejects_non_finite_and_huge():
+    lat = LatticeSpec(0.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf, 1e300):
+        with pytest.raises(DomainError):
+            lat.index(bad)

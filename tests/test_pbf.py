@@ -147,7 +147,7 @@ TABLE_CASES = dict(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(**TABLE_CASES)
 def test_table_round_trips_with_transform(n, p, seed):
     rng = np.random.default_rng(seed)
@@ -163,7 +163,7 @@ def test_table_round_trips_with_transform(n, p, seed):
     np.testing.assert_allclose(back, vals, rtol=0.0, atol=1e-9)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(**TABLE_CASES, masks=st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=20))
 def test_table_matches_eval_pointwise(n, p, seed, masks):
     ground = EdgeGround(n)
