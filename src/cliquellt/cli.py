@@ -30,7 +30,7 @@ from .bounds import (
 )
 from .cliques import CliqueSpec, exact_distribution, moments
 from .cliques import EXACT_DISTRIBUTION_EDGE_CAP, fr_function
-from .decoupling import build_color_partition, decoupling_check
+from .decoupling import build_color_partition, decoupling_check, exact_chf
 from .distributions import LatticeSpec, discrete_gaussian, l1_distance, linf_distance
 from .ground import binom
 from .pbf import assignment_weights
@@ -180,17 +180,12 @@ def cmd_chf_scan(args) -> int:
     mc = MCConfig(seed=args.seed, samples=args.samples, workers=args.workers)
     kappa = sample_kappa(spec, mc)
     ts = _t_grid(args)
-    rows = []
-    for est in empirical_chf_grid(kappa, ts):
-        rows.append([est.t, est.value.real, est.value.imag, est.stderr])
+    ests = empirical_chf_grid(kappa, ts)
+    rows = [[est.t, est.value.real, est.value.imag, est.stderr] for est in ests]
     extra = {}
     if args.self_check:
-        kappa2 = sample_kappa(spec, mc.doubled())
-        deltas = [
-            abs(a.value - b.value)
-            for a, b in zip(empirical_chf_grid(kappa, ts), empirical_chf_grid(kappa2, ts))
-        ]
-        extra["self_check_max_delta"] = f"{max(deltas):.17g}"
+        doubled = empirical_chf_grid(sample_kappa(spec, mc.doubled()), ts)
+        extra["self_check_max_delta"] = f"{max(abs(a.value - b.value) for a, b in zip(ests, doubled)):.17g}"
     _emit(args, ["t", "re", "im", "stderr"], rows, extra)
     return 0
 
@@ -259,12 +254,9 @@ def cmd_bounds_check(args) -> int:
     kap = (1.0 / sigma) * (fr5 - fr5.degree_slice(0))
     x_part = kap.degree_slice(1)
     y_part = kap.tail(1)
-    w5 = assignment_weights(kap.ground.size, p)
-    xv = x_part.table()
-    zv = kap.table()
     a2 = max(c * c for c in x_part.coeffs.values())
     bp_t = 0.5
-    gap = abs(np.sum(w5 * np.exp(1j * bp_t * zv)) - np.sum(w5 * np.exp(1j * bp_t * xv)))
+    gap = abs(exact_chf(kap, bp_t) - exact_chf(x_part, bp_t))
     bp = BoundParams(
         ell=2,
         d=y_part.degree(),

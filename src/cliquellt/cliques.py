@@ -17,7 +17,6 @@ from .ground import EdgeGround, GraphAssignment, binom, support_vertices
 from .pbf import PBFunction, assignment_weights
 
 EXACT_DISTRIBUTION_EDGE_CAP = 21
-LOG_SPACE_VERTEX_THRESHOLD = 1000
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,14 @@ class CliqueMoments:
 
 
 def mean(spec: CliqueSpec) -> float:
-    """E[f_r] = p^C(r,2) * C(n,r), in log space for very large n."""
-    edges = binom(spec.r, 2)
-    if spec.n > LOG_SPACE_VERTEX_THRESHOLD:
-        log_mu = edges * math.log(spec.p) + _log_binom(spec.n, spec.r)
-        return math.exp(log_mu)
-    return spec.p**edges * binom(spec.n, spec.r)
-
-
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    """E[f_r] = p^C(r,2) * C(n,r), correctly rounded: with p = a/b exactly,
+    (a^e * C(n,r)) / b^e is an int/int division, which Python rounds correctly."""
+    a, b = spec.p.as_integer_ratio()
+    e = binom(spec.r, 2)
+    try:
+        return (a**e * binom(spec.n, spec.r)) / b**e
+    except OverflowError as exc:
+        raise DomainError(f"mean of {spec} overflows a float") from exc
 
 
 @lru_cache(maxsize=None)

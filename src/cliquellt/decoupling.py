@@ -10,6 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .distributions import chf_sum
 from .errors import CapacityError, DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
 from .pbf import PBFunction, assignment_weights, chi_value
@@ -261,7 +262,7 @@ def exact_chf(f: PBFunction, t: float) -> complex:
     m = f.ground.size
     if m > INNER_ENUMERATION_EDGE_CAP:
         raise CapacityError(f"exact chf capped at {INNER_ENUMERATION_EDGE_CAP} edges, got {m}")
-    return complex(np.dot(assignment_weights(m, f.p), np.exp(1j * t * f.table())))
+    return chf_sum(t, f.table(), assignment_weights(m, f.p))
 
 
 @dataclass(frozen=True)

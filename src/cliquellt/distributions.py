@@ -14,7 +14,7 @@ from .errors import DomainError, LatticeMismatchError
 
 LATTICE_TOL = 1e-9
 GAUSSIAN_TRUNCATION_SIGMAS = 12.0
-CHF_BLOCK = 1 << 16  # (t, x) phases per block of EmpiricalDistribution.chf
+CHF_BLOCK = 1 << 16  # (t, x) phases per block of phase_blocks
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,7 @@ class EmpiricalDistribution:
 
     def chf(self, t):
         """Exact characteristic function sum(mass * e^{itx}), at a scalar or each entry of an array t."""
-        ts = np.asarray(t, dtype=np.float64)
-        x = self.points()
-        out = np.empty(ts.size, dtype=np.complex128)
-        step = max(1, CHF_BLOCK // max(1, x.size))
-        for start in range(0, ts.size, step):
-            phase = np.multiply.outer(ts.flat[start : start + step], x)
-            out[start : start + step] = np.cos(phase) @ self.masses + 1j * (np.sin(phase) @ self.masses)
-        return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+        return chf_sum(t, self.points(), self.masses)
 
     def rescale(self, shift: float, scale: float) -> "EmpiricalDistribution":
         """Distribution of (X - shift)/scale: the same indices on a rescaled lattice."""
@@ -132,6 +125,26 @@ class EmpiricalDistribution:
             raise DomainError("bad CSV header for distribution")
         rows = (line.split(",") for line in lines[1:])
         return cls(lattice, {float(x): float(m) for x, m in rows})
+
+
+def phase_blocks(ts: np.ndarray, x: np.ndarray):
+    """(t slice, x slice, t*x) blocks of at most CHF_BLOCK phases over flat ts and x."""
+    xstep = max(1, min(x.size, CHF_BLOCK))
+    tstep = CHF_BLOCK // xstep
+    for xlo in range(0, x.size, xstep):
+        for tlo in range(0, ts.size, tstep):
+            tsl, xs = slice(tlo, tlo + tstep), slice(xlo, xlo + xstep)
+            yield tsl, xs, np.multiply.outer(ts[tsl], x[xs])
+
+
+def chf_sum(t, x, w):
+    """sum_j w_j e^{i t x_j} at a scalar t or at each entry of an array t: the package's one chf sum."""
+    ts = np.asarray(t, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64).ravel()
+    out = np.zeros(ts.size, dtype=np.complex128)
+    for tsl, xs, phase in phase_blocks(ts.ravel(), np.asarray(x, dtype=np.float64).ravel()):
+        out[tsl] += np.cos(phase) @ w[xs] + 1j * (np.sin(phase) @ w[xs])
+    return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
 def discrete_gaussian(lattice: LatticeSpec, mu: float, sigma: float) -> EmpiricalDistribution:
@@ -183,10 +196,13 @@ def lattice_inversion(
 ) -> float:
     """P(X = x) = (h/2pi) * integral_{-pi/h}^{pi/h} e^{-itx} phi(t) dt.
 
-    ``chf`` is called once per grid with the array of its points.  Composite
-    Simpson; the point count starts at >= 32 points per unit period of the
-    fastest known oscillation and doubles until the result is stable to tol.
-    ``freq_hint`` may give the largest |value - x| in the support if known.
+    ``chf`` is called once per grid with the array of its points.  The
+    trapezoid rule over one period: the integrand is 2pi/h-periodic, so the
+    mean over n equispaced points is exact once n exceeds the support's span
+    in steps.  n starts at >= 32 points per unit period of the fastest known
+    oscillation and doubles, evaluating only the new midpoints, until the
+    result is stable to tol.  ``freq_hint`` may give the largest |value - x|
+    in the support if known.
     """
     lattice.index(x)  # raises DomainError off the lattice
     h = lattice.h
@@ -198,19 +214,16 @@ def lattice_inversion(
     while n < target:
         n *= 2
 
-    def simpson(npts: int) -> float:
-        ts = np.linspace(-half, half, npts + 1)
-        integrand = np.exp(-1j * ts * x) * np.asarray(chf(ts), dtype=np.complex128)
-        w = np.ones(npts + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        step = (2.0 * half) / npts
-        return float((step / 3.0) * np.real(np.sum(w * integrand)) * (h / (2.0 * math.pi)))
+    def grid_sum(offset: float, npts: int) -> float:
+        ts = -half + (2.0 * half / npts) * (np.arange(npts) + offset)
+        return float(np.sum(np.real(np.exp(-1j * ts * x) * np.asarray(chf(ts), dtype=np.complex128))))
 
-    prev = simpson(n)
+    total = grid_sum(0.0, n)
+    prev = total / n
     for _ in range(22):
+        total += grid_sum(0.5, n)
         n *= 2
-        cur = simpson(n)
+        cur = total / n
         if abs(cur - prev) < tol:
             return cur
         prev = cur

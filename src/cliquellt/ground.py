@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DomainError, GroundMismatchError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class EdgeGround:
         for i in range(1, self.n):
             for j in range(i + 1, self.n + 1):
                 yield (i, j)
-
-    def check_same(self, other: "EdgeGround") -> None:
-        if self != other:
-            raise GroundMismatchError(f"ground mismatch: n={self.n} vs n={other.n}")
 
 
 def support_vertices(ground: EdgeGround, members: Iterable[int]) -> frozenset[int]:

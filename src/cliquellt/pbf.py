@@ -42,15 +42,12 @@ class PBFunction:
 
     __slots__ = ("ground", "p", "coeffs")
 
-    def __init__(self, ground, p: float, coeffs: Mapping[Key, float], *, prune: bool = True):
+    def __init__(self, ground, p: float, coeffs: Mapping[Key, float]):
         if not (0.0 < p < 1.0):
             raise DomainError(f"p must lie in (0,1), got {p}")
         self.ground = ground
         self.p = float(p)
-        if prune:
-            self.coeffs = {S: float(c) for S, c in coeffs.items() if abs(c) > PRUNE_TOL}
-        else:
-            self.coeffs = {S: float(c) for S, c in coeffs.items()}
+        self.coeffs = {S: float(c) for S, c in coeffs.items() if abs(c) > PRUNE_TOL}
 
     # -- constructors -------------------------------------------------
 
@@ -255,15 +252,8 @@ def assignment_weights(m: int, p: float) -> np.ndarray:
 
 
 def popcount_array(m: int) -> np.ndarray:
-    """popcount of every integer in [0, 2^m) as an int64 array."""
-    if m == 0:
-        return np.zeros(1, dtype=np.int64)
-    out = np.zeros(1 << m, dtype=np.int64)
-    block = 1
-    for _ in range(m):
-        out[block : 2 * block] = out[:block] + 1
-        block *= 2
-    return out
+    """popcount of every integer in [0, 2^m), as a uint8 array."""
+    return np.bitwise_count(np.arange(1 << m))
 
 
 def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
@@ -278,27 +268,18 @@ def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
     return v
 
 
-def fourier_transform(
-    table: Callable[[GraphAssignment], float] | np.ndarray,
-    ground,
-    p: float,
-) -> PBFunction:
+def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
     """Exhaustive p-biased transform of a full truth table.
 
-    ``table`` is either an array of length 2^m indexed by assignment bitmask, or
-    a callable on GraphAssignment.  Inverse of PBFunction.eval.
+    ``table`` is an array of length 2^m indexed by assignment bitmask.
+    Inverse of PBFunction.table.
     """
     m = ground.size
     if m > TRANSFORM_EDGE_CAP:
         raise CapacityError(f"exhaustive transform capped at {TRANSFORM_EDGE_CAP} edges, got {m}")
-    if callable(table):
-        vals = np.array(
-            [table(GraphAssignment(ground, bits)) for bits in range(1 << m)], dtype=np.float64
-        )
-    else:
-        vals = np.asarray(table, dtype=np.float64)
-        if vals.shape != (1 << m,):
-            raise DomainError(f"table must have length 2^{m}")
+    vals = np.asarray(table, dtype=np.float64)
+    if vals.shape != (1 << m,):
+        raise DomainError(f"table must have length 2^{m}")
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0,1), got {p}")
 

@@ -3,7 +3,6 @@ characteristic functions with deterministic parallel substreams."""
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -11,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cliques import CliqueSpec, count_cliques_batch
-from .distributions import EmpiricalDistribution, LatticeSpec
+from .distributions import EmpiricalDistribution, LatticeSpec, chf_sum, phase_blocks
 from .errors import DomainError
 from .ground import EdgeGround, GraphAssignment
 
@@ -121,20 +120,31 @@ def sample_kappa(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
 
 
 def empirical_chf(values: np.ndarray, t: float) -> ChfEstimate:
-    """(1/N) sum e^{itx_j} with a componentwise standard-error bound."""
+    """(1/N) sum e^{itx_j} with its standard error: the one-t case of empirical_chf_grid."""
+    return empirical_chf_grid(values, [t])[0]
+
+
+def empirical_chf_grid(values: np.ndarray, ts: np.ndarray) -> list[ChfEstimate]:
+    """(1/N) sum_j e^{itx_j} at each t, with its standard error.
+
+    One chf_sum over the distinct sample values, weighted by their counts.
+    The standard error, sqrt(sum_j |e^{itx_j} - phi|^2 / (N(N-1))) summed over
+    the same values, is the hypot of the ddof=1 standard errors of re and im.
+    """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     if n < 2:
         raise DomainError("need at least two samples for an empirical chf")
-    z = np.exp(1j * t * values)
-    value = complex(np.mean(z))
-    se_re = float(np.std(z.real, ddof=1) / math.sqrt(n))
-    se_im = float(np.std(z.imag, ddof=1) / math.sqrt(n))
-    return ChfEstimate(t=t, value=value, stderr=math.hypot(se_re, se_im), samples=n)
-
-
-def empirical_chf_grid(values: np.ndarray, ts: np.ndarray) -> list[ChfEstimate]:
-    return [empirical_chf(values, float(t)) for t in np.asarray(ts, dtype=np.float64)]
+    ts = np.asarray(ts, dtype=np.float64).ravel()
+    x, counts = np.unique(values, return_counts=True)
+    phi = chf_sum(ts, x, counts) / n
+    spread = np.zeros(ts.size)
+    for tsl, xs, phase in phase_blocks(ts, x):
+        re = np.cos(phase) - phi.real[tsl, None]
+        im = np.sin(phase) - phi.imag[tsl, None]
+        spread[tsl] += (re * re + im * im) @ counts[xs]
+    stderr = np.sqrt(spread / (n * (n - 1.0)))
+    return [ChfEstimate(float(t), complex(v), float(s), n) for t, v, s in zip(ts, phi, stderr)]
 
 
 def empirical_distribution(values: np.ndarray, lattice: LatticeSpec) -> EmpiricalDistribution:

@@ -84,14 +84,15 @@ def test_chf_scan_deterministic(capsys):
 
 
 def test_chf_scan_self_check(capsys):
-    argv = [
-        "chf-scan", "--n", "8", "--r", "3", "--seed", "1", "--samples", "400",
-        "--t-steps", "3", "--self-check",
-    ]
-    code, out = run(argv, capsys)
+    argv = ["chf-scan", "--n", "8", "--r", "3", "--seed", "1", "--samples", "400", "--t-steps", "3"]
+    code, out = run(argv + ["--self-check"], capsys)
     assert code == 0
     config, _, _ = parse_csv(out)
-    assert "self_check_max_delta" in config
+    assert float(config["self_check_max_delta"]) > 0.0
+    # the self-check adds its one header line and prints the plain run's rows
+    _, plain = run(argv, capsys)
+    lines = [line for line in out.splitlines() if not line.startswith("# self_check_max_delta=")]
+    assert lines == plain.splitlines()
 
 
 def test_decoupling_check_cli(capsys):

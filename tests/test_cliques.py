@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,9 +170,11 @@ def test_mean_oracles():
     assert mean(CliqueSpec(n=4, r=3, p=0.5)) == pytest.approx(0.5, abs=1e-12)
     spec = CliqueSpec(n=6, r=3, p=0.999)
     assert mean(spec) == pytest.approx(0.999**3 * 20, abs=1e-12)
-    big = CliqueSpec(n=2000, r=3, p=0.5)
-    direct = 0.5**3 * math.comb(2000, 3)
-    assert mean(big) == pytest.approx(direct, rel=1e-9)
+    # exact at any n: the correctly rounded p^3 * C(2000, 3)
+    assert mean(CliqueSpec(n=2000, r=3, p=0.5)) == 166416750.0
+    assert mean(CliqueSpec(n=10**6, r=3, p=0.3)) == float(Fraction(0.3) ** 3 * math.comb(10**6, 3))
+    with pytest.raises(DomainError):
+        mean(CliqueSpec(n=3000, r=200, p=0.999))  # beyond the float range
 
 
 def test_covering_edge_subsets():

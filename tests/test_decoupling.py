@@ -20,6 +20,7 @@ from cliquellt import (
     build_color_partition,
     decoupling_check,
     exact_chf,
+    exact_distribution,
     flatten,
     fr_function,
     is_rainbow,
@@ -321,6 +322,16 @@ def test_exact_chf_against_fsum_of_clique_counts(p):
         re = math.fsum(w * math.cos(t * c) for w, c in zip(weights, counts))
         im = math.fsum(w * math.sin(t * c) for w, c in zip(weights, counts))
         assert abs(exact_chf(f, t) - complex(re, im)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_exact_chf_matches_the_exact_law(n, p):
+    # the truth table of f_r and the law of the clique count: one chf sum each
+    spec = CliqueSpec(n=n, r=3, p=p)
+    f, law = fr_function(spec), exact_distribution(spec)
+    for t in (0.0, 0.3, 1.0, 2.5, -4.0):
+        assert abs(exact_chf(f, t) - law.chf(t)) < 1e-13
 
 
 def test_decoupling_check_golden_bits():

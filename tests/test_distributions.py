@@ -17,6 +17,8 @@ from cliquellt import (
     lattice_inversion,
     linf_distance,
 )
+from cliquellt import distributions
+from cliquellt.distributions import CHF_BLOCK, chf_sum
 
 
 def test_lattice_basics():
@@ -130,6 +132,22 @@ def test_inversion_exact_triangle_law():
         assert got == pytest.approx(dist.mass[x], abs=1e-8)
 
 
+def test_inversion_evaluates_each_t_once():
+    # a doubling adds the midpoints of the grid before it and evaluates nothing twice
+    spec = CliqueSpec(n=5, r=3, p=0.3)
+    dist = exact_distribution(spec)
+    hint = max(abs(x) for x in dist.mass)
+    for x, m in dist.mass.items():
+        seen = []
+
+        def spy(t):
+            seen.extend(np.asarray(t).tolist())
+            return dist.chf(t)
+
+        assert lattice_inversion(spy, dist.lattice, x, freq_hint=hint) == pytest.approx(m, abs=1e-15)
+        assert len(set(seen)) == len(seen)
+
+
 def test_inversion_off_lattice_rejected():
     lat = LatticeSpec(0.0, 1.0)
     with pytest.raises(DomainError):
@@ -236,6 +254,16 @@ def test_chf_blocks_agree_with_loop_reference():
         t = float(ts[i])
         ref = sum(m * complex(math.cos(t * x), math.sin(t * x)) for x, m in d.mass.items())
         assert abs(got[i] - ref) < 1e-13
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, CHF_BLOCK])
+def test_chf_sum_is_the_same_for_any_block(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    x, w, ts = rng.normal(size=20) * 5, rng.random(20), np.linspace(-3.0, 3.0, 9)
+    ref = [math.fsum(w * np.cos(t * x)) + 1j * math.fsum(w * np.sin(t * x)) for t in ts]
+    monkeypatch.setattr(distributions, "CHF_BLOCK", block)
+    assert np.abs(chf_sum(ts, x, w) - ref).max() < 1e-14
+    assert abs(chf_sum(ts[3], x, w) - ref[3]) < 1e-14
 
 
 @settings(max_examples=100)

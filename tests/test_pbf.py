@@ -129,9 +129,9 @@ def test_transform_trivial_cases():
     assert chi.coeff([e]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_transform_callable_and_cap():
+def test_transform_edge_count_table_and_cap():
     ground = EdgeGround(3)
-    f = fourier_transform(lambda g: float(g.edge_count()), ground, 0.5)
+    f = fourier_transform(popcount_array(ground.size), ground, 0.5)
     assert f.degree() == 1
     with pytest.raises(CapacityError):
         fourier_transform(np.zeros(4), EdgeGround(8), 0.5)

@@ -176,6 +176,32 @@ def test_empirical_chf_grid_and_symmetry():
     assert abs(ests[0].value) <= 1.0
 
 
+def _per_sample_chf(values, t):
+    # the per-sample formula: a mean of N phases and the hypot of two ddof=1 standard errors
+    z = np.exp(1j * t * values)
+    se_re = np.std(z.real, ddof=1) / math.sqrt(z.size)
+    se_im = np.std(z.imag, ddof=1) / math.sqrt(z.size)
+    return complex(np.mean(z)), math.hypot(se_re, se_im)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_empirical_chf_grid_matches_per_sample_formula(seed):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(-8.0, 8.0, 33)
+    samples = {
+        "integer": rng.integers(-40, 41, size=5000).astype(np.float64),
+        "normal": rng.normal(size=5000),
+    }
+    for values in samples.values():
+        for est in empirical_chf_grid(values, ts):
+            value, stderr = _per_sample_chf(values, est.t)
+            assert abs(est.value - value) <= 1e-15
+            assert abs(est.stderr - stderr) <= 1e-15
+            assert est.samples == values.size
+        at0 = empirical_chf(values, 0.0)
+        assert (at0.value, at0.stderr) == (1 + 0j, 0.0)
+
+
 def test_empirical_distribution_exact_counts():
     vals = np.array([0.0, 1.0, 1.0, 3.0])
     d = empirical_distribution(vals, LatticeSpec(0.0, 1.0))
