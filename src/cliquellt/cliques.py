@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import EmpiricalDistribution, LatticeSpec
 from .errors import CapacityError, DomainError
 from .ground import EdgeGround, GraphAssignment, binom, support_vertices
-from .pbf import PBFunction, assignment_weights
+from .pbf import PBFunction, _edge_halves, popcount_array
 
 EXACT_DISTRIBUTION_EDGE_CAP = 21
 
@@ -305,32 +305,49 @@ def clique_edge_masks(ground: EdgeGround, r: int) -> list[int]:
 
 
 def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
-    """f_r(g) for every assignment bitmask g in [0, 2^C(n,2))."""
+    """f_r(g) for every assignment bitmask g in [0, 2^C(n,2)), as a uint8 array.
+
+    The zeta (subset-sum) transform of the clique-mask indicator: per edge,
+    the butterfly pass v1 += v0 adds every graph without the edge into the
+    same graph with it, so g ends up counting the clique masks inside g.
+    uint8 cannot wrap here, since every partial sum is at most C(n, r), and
+    under the 21-edge cap C(n, r) <= C(7, 3) = 35.  Callers that scale or
+    square the counts must cast them first.
+    """
     ground = EdgeGround(n)
     m = ground.size
     if m > EXACT_DISTRIBUTION_EDGE_CAP:
         raise CapacityError(
             f"exhaustive enumeration capped at {EXACT_DISTRIBUTION_EDGE_CAP} edges, got {m}"
         )
-    graphs = np.arange(1 << m, dtype=np.uint32)
-    counts = np.zeros(1 << m, dtype=np.int64)
-    # one pair of scratch tables for every mask, so the cost does not depend on
-    # whether the allocator hands each fresh table recycled or new pages
-    masked = np.empty_like(graphs)
-    hit = np.empty(graphs.shape, dtype=bool)
-    for mask in clique_edge_masks(ground, r):
-        np.bitwise_and(graphs, np.uint32(mask), out=masked)
-        np.equal(masked, np.uint32(mask), out=hit)
-        counts += hit
+    counts = np.zeros(1 << m, dtype=np.uint8)
+    counts[clique_edge_masks(ground, r)] = 1
+    for v0, v1 in _edge_halves(counts, m):
+        v1 += v0
     return counts
 
 
 def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
-    """Exact law of f_r under G(n,p), on the integer lattice (b=0, h=1)."""
+    """Exact law of f_r under G(n,p), on the integer lattice (b=0, h=1).
+
+    One integer bincount gives N[c, k], the number of graphs with c cliques
+    and k edges.  With p = a/b exactly, the mass at c is
+    sum_k N[c, k] a^k (b-a)^(m-k) / b^m, an int/int division that Python
+    rounds correctly, as in ``mean``.  Counts whose rounded mass is 0 are
+    left out of the support.
+    """
+    m = spec.ground.size
     counts = counts_over_all_graphs(spec.n, spec.r)
-    mass_by_count = np.bincount(counts, weights=assignment_weights(spec.ground.size, spec.p))
-    k = np.flatnonzero(mass_by_count > 0.0)
-    return EmpiricalDistribution.from_indices(LatticeSpec(0.0, 1.0), k, mass_by_count[k])
+    key = counts.astype(np.intp)  # c * (m+1) + k would wrap in uint8
+    key *= m + 1
+    key += popcount_array(m)
+    hist = np.bincount(key, minlength=(int(counts.max()) + 1) * (m + 1)).reshape(-1, m + 1)
+    a, b = spec.p.as_integer_ratio()
+    weight = [a**k * (b - a) ** (m - k) for k in range(m + 1)]
+    total = b**m
+    masses = np.array([sum(g * w for g, w in zip(row, weight)) / total for row in hist.tolist()])
+    c = np.flatnonzero(masses > 0.0)
+    return EmpiricalDistribution.from_indices(LatticeSpec(0.0, 1.0), c, masses[c])
 
 
 # -- Fourier expansion as an explicit PBFunction (small n) -----------------

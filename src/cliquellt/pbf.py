@@ -253,18 +253,37 @@ def assignment_weights(m: int, p: float) -> np.ndarray:
 
 def popcount_array(m: int) -> np.ndarray:
     """popcount of every integer in [0, 2^m), as a uint8 array."""
-    return np.bitwise_count(np.arange(1 << m))
+    return np.bitwise_count(np.arange(1 << m, dtype=np.uint32))
+
+
+def _edge_halves(v: np.ndarray, m: int):
+    """Per edge e of a table of length 2^m, edge 0 first: views (v0, v1) of its
+    entries with bit e clear and set, matched entry by entry.
+
+    While a run of 2^e entries is shorter than 32 bytes, an edge's halves come
+    as 2^e strided column pairs instead: numpy then runs one long loop per
+    column rather than one tiny loop per run, which made these edges the
+    slowest passes.
+    """
+    for e in range(m):
+        if (1 << e) * v.itemsize < 32:
+            w = v.reshape(-1, 2 << e)
+            for j in range(1 << e):
+                yield w[:, j], w[:, j + (1 << e)]
+        else:
+            w = v.reshape(-1, 2, 1 << e)
+            yield w[:, 0, :], w[:, 1, :]
 
 
 def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
     """Apply a per-edge 2x2 step to a table of length 2^m, in place, edge 0 first.
 
-    ``step(v0, v1)`` gets the halves of the table with edge e's bit 0 and 1 and
-    returns their new values, computed before either half is overwritten.
+    ``step(v0, v1)`` gets matching pieces of the halves of the table with edge
+    e's bit 0 and 1, and returns their new values, computed before either
+    piece is overwritten.  It must act entry by entry.
     """
-    for e in range(m):
-        w = v.reshape(-1, 2, 1 << e)
-        w[:, 0, :], w[:, 1, :] = step(w[:, 0, :], w[:, 1, :])
+    for v0, v1 in _edge_halves(v, m):
+        v0[...], v1[...] = step(v0, v1)
     return v
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -289,6 +290,55 @@ def test_counts_over_all_graphs_matches_backtracking():
         bits = int(bits)
         assert counts[bits] == count_cliques(GraphAssignment(ground, bits), 3)
     assert len(clique_edge_masks(ground, 3)) == 10
+
+
+def _mask_loop_counts(n, r):
+    """f_r of every graph by brute force: one full pass over the graphs per clique mask."""
+    ground = EdgeGround(n)
+    graphs = np.arange(1 << ground.size, dtype=np.uint32)
+    counts = np.zeros(graphs.size, dtype=np.int64)
+    for mask in clique_edge_masks(ground, r):
+        counts += (graphs & mask) == mask
+    return counts
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_counts_over_all_graphs_against_mask_loop(n):
+    # every (n, r) under the 21-edge cap; r = n + 1 has no clique and counts 0
+    for r in range(3, n + 2):
+        counts = counts_over_all_graphs(n, r)
+        assert counts.dtype == np.uint8
+        assert np.array_equal(counts, _mask_loop_counts(n, r))
+    assert not counts_over_all_graphs(n, n + 1).any()
+
+
+def _fraction_law(n, r, p):
+    """Exact law of f_r: the weight q^k (1-q)^(m-k) of every graph, q = Fraction(p)
+    exactly, summed by clique count (graphs with equal count and edge count at once)."""
+    m = EdgeGround(n).size
+    q = Fraction(p)
+    weight = [q**k * (1 - q) ** (m - k) for k in range(m + 1)]
+    edges = [g.bit_count() for g in range(1 << m)]
+    law = {}
+    for (c, k), graphs in Counter(zip(_mask_loop_counts(n, r).tolist(), edges)).items():
+        law[c] = law.get(c, 0) + graphs * weight[k]
+    return law
+
+
+@pytest.mark.parametrize("n, p", [(5, 0.3), (5, 0.5), (6, 0.3), (6, 0.5), (7, 0.3)])
+def test_exact_distribution_masses_are_correctly_rounded(n, p):
+    # (7, 0.3) is where a float sum of the 2^21 graph weights misses 27 of the 28
+    # masses, by up to 3.5e-12 relative
+    law = _fraction_law(n, 3, p)
+    want = {float(c): float(law[c]) for c in sorted(law) if float(law[c]) > 0.0}
+    assert dict(exact_distribution(CliqueSpec(n=n, r=3, p=p)).mass) == want
+
+
+def test_exact_distribution_support_is_the_counts_with_nonzero_rounded_mass():
+    # at p = 1e-200 every count above 0 has a tiny positive exact mass that rounds to 0.0
+    dist = exact_distribution(CliqueSpec(n=7, r=3, p=1e-200))
+    assert dist.k.tolist() == [0]
+    assert dist.masses.tolist() == [1.0]
 
 
 def test_moments_bundle():

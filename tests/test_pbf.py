@@ -18,7 +18,7 @@ from cliquellt import (
     multiply,
 )
 from cliquellt.cliques import counts_over_all_graphs
-from cliquellt.pbf import assignment_weights, gamma_coeff, popcount_array
+from cliquellt.pbf import _edge_halves, assignment_weights, gamma_coeff, popcount_array
 
 
 def random_function(ground, p, rng, *, max_degree=None, density=0.3):
@@ -305,3 +305,13 @@ def test_ground_mismatch_rejected():
     g = PBFunction.chi(EdgeGround(5), 0.5, [0])
     with pytest.raises(Exception):
         _ = f + g
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_edge_halves_pair_every_entry_with_its_edge_flip(dtype):
+    # both ways of cutting a pass: strided columns for the low edges, halves above
+    m = 6
+    v = np.arange(1 << m).astype(dtype)
+    pairs = [(int(a), int(b)) for v0, v1 in _edge_halves(v, m) for a, b in zip(v0.ravel(), v1.ravel())]
+    want = [(g, g | 1 << e) for e in range(m) for g in range(1 << m) if not g >> e & 1]
+    assert sorted(pairs) == sorted(want)
