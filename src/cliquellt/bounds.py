@@ -129,13 +129,19 @@ def hyperconc_moment(hp: HypParams, norm2: float, q: float) -> float:
     """Bound on E[|f|^{2q}] for degree-<=d f: (2q-1)^{dq} lambda^{d(1-q)} norm2^{2q}.
 
     At q=1 this reduces to exactly E[f^2]; the lambda exponent d(1-q) is forced
-    by Jensen (E|f|^{2q} >= norm2^{2q} for q >= 1).
+    by Jensen (E|f|^{2q} >= norm2^{2q} for q >= 1).  Returns inf when a factor
+    passes the float range.
     """
     if q < 1:
         raise DomainError(f"moment order q must be >= 1, got {q}")
     if norm2 < 0:
         raise DomainError("norm2 must be nonnegative")
-    return (2.0 * q - 1.0) ** (hp.d * q) * hp.lam ** (hp.d * (1.0 - q)) * norm2 ** (2.0 * q)
+    try:
+        growth = (2.0 * q - 1.0) ** (hp.d * q) * hp.lam ** (hp.d * (1.0 - q))
+        # inf * 0.0 would be nan; inf is still an upper bound
+        return growth * norm2 ** (2.0 * q) if growth < math.inf else math.inf
+    except OverflowError:
+        return math.inf
 
 
 # -- main characteristic-function comparison bound --------------------------------
@@ -189,30 +195,37 @@ def mainchf_bound(bp: BoundParams) -> float:
     Follows the proof's first term, which carries the extra C_p^d factor on the
     spectral 1-norm; validity requires
     |t| < min(sqrt(lam(1-lam)) pi delta^{-1/2}, (2e)^{l/2} lam^{-l/2} / eta).
-    The caller is responsible for Y having no degree-<=1 monomials.
+    The caller is responsible for Y having no degree-<=1 monomials.  Returns
+    inf when a term passes the float range, as it can for large ell.
     """
     lam, ell, d, t, eta = bp.lam, bp.ell, bp.d, abs(bp.t), bp.eta
     lim1 = math.sqrt(lam * (1.0 - lam)) * math.pi / math.sqrt(bp.delta) if bp.delta > 0 else math.inf
-    lim2 = (2.0 * math.e) ** (ell / 2.0) * lam ** (-ell / 2.0) / eta if eta > 0 else math.inf
+    try:
+        lim2 = (2.0 * math.e) ** (ell / 2.0) * lam ** (-ell / 2.0) / eta if eta > 0 else math.inf
+    except OverflowError:
+        lim2 = math.inf
     if t >= min(lim1, lim2):
         raise DomainError(
             f"|t|={t:.6g} outside validity range < min({lim1:.6g}, {lim2:.6g})"
         )
-    eps = bp.epsilon
-    term1 = ell * eps * (1.0 + (t * bp.cp**d * bp.spectral1) ** ell)
-    teta = t * eta
-    if teta == 0.0:
-        # limit conventions: the Taylor and tail terms vanish with eta or t
-        return term1
-    term2 = (
-        teta ** (ell + 1)
-        / math.factorial(ell + 1)
-        * ell ** (d * (ell + 1) / 2.0)
-        * lam ** (d * (1.0 - ell) / 2.0)
-    )
-    decay = (d * lam / (2.0 * math.e)) * teta ** (-2.0 / d)
-    term3 = lam**d * math.exp(-decay)
-    term4 = teta ** ((ell + 1) / 2.0) * lam ** ((3.0 * d - ell) / 4.0) * (ell + 1) * math.exp(
-        -decay / 2.0
-    )
-    return term1 + term2 + term3 + term4
+    try:
+        eps = bp.epsilon
+        term1 = ell * eps * (1.0 + (t * bp.cp**d * bp.spectral1) ** ell)
+        teta = t * eta
+        if teta == 0.0:
+            # limit conventions: the Taylor and tail terms vanish with eta or t
+            return term1
+        term2 = (
+            teta ** (ell + 1)
+            / math.factorial(ell + 1)
+            * ell ** (d * (ell + 1) / 2.0)
+            * lam ** (d * (1.0 - ell) / 2.0)
+        )
+        decay = (d * lam / (2.0 * math.e)) * teta ** (-2.0 / d)
+        term3 = lam**d * math.exp(-decay)
+        term4 = teta ** ((ell + 1) / 2.0) * lam ** ((3.0 * d - ell) / 4.0) * (ell + 1) * math.exp(
+            -decay / 2.0
+        )
+        return term1 + term2 + term3 + term4
+    except OverflowError:  # a term past the float range: inf still bounds the gap
+        return math.inf

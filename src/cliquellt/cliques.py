@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import EmpiricalDistribution, LatticeSpec
 from .errors import CapacityError, DomainError
 from .ground import EdgeGround, GraphAssignment, binom, support_vertices
-from .pbf import PBFunction, _edge_halves, popcount_array
+from .pbf import PBFunction, _butterfly, popcount_array
 
 EXACT_DISTRIBUTION_EDGE_CAP = 21
 
@@ -122,8 +122,17 @@ def variance(spec: CliqueSpec) -> float:
 
 
 def variance_leading_coefficient(r: int, p: float) -> float:
-    """Coefficient of n^{2r-2} in sigma^2: p^{r(r-1)-1}(1-p) / (2 ((r-2)!)^2)."""
-    return p ** (r * (r - 1) - 1) * (1.0 - p) / (2.0 * math.factorial(r - 2) ** 2)
+    """Coefficient of n^{2r-2} in sigma^2: p^{r(r-1)-1}(1-p) / (2 ((r-2)!)^2).
+
+    Correctly rounded, as in ``mean``: with p = a/b exactly it is one int/int
+    division.  Raises DomainError when it is below the smallest float.
+    """
+    a, b = float(p).as_integer_ratio()
+    e = r * (r - 1) - 1
+    coeff = (a**e * (b - a)) / (2 * b ** (e + 1) * math.factorial(r - 2) ** 2)
+    if coeff == 0.0:
+        raise DomainError(f"variance leading coefficient at r={r}, p={p} underflows a float")
+    return coeff
 
 
 def kappa_coeff(spec: CliqueSpec, edges: Iterable[int]) -> float:
@@ -322,9 +331,11 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
         )
     counts = np.zeros(1 << m, dtype=np.uint8)
     counts[clique_edge_masks(ground, r)] = 1
-    for v0, v1 in _edge_halves(counts, m):
+
+    def step(v0, v1, tmp):
         v1 += v0
-    return counts
+
+    return _butterfly(counts, m, step)
 
 
 def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:

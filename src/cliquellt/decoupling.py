@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import chf_sum
+from .distributions import SERIAL_BLAS_ENTRIES, chf_sum
 from .errors import CapacityError, DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
 from .pbf import PBFunction, assignment_weights, chi_value
@@ -335,10 +335,28 @@ def decoupling_check(
                     term = term * ychi[:, col]
                 coefmat[:, s_idx] += term
             g_vals = coefmat @ chi_x  # (q, 2^nx)
-            inner = np.exp(1j * t * g_vals) @ wx
-            abs_vals.append(np.abs(inner))
+            abs_vals.append(np.abs(_inner_chf(g_vals, t, wx)))
             done += q
     allvals = np.concatenate(abs_vals)
     rhs = float(np.mean(allvals))
     stderr = float(np.std(allvals, ddof=1) / math.sqrt(allvals.size)) if allvals.size > 1 else 0.0
     return DecouplingCheck(lhs=lhs, rhs=rhs, rhs_stderr=stderr)
+
+
+def _inner_chf(g_vals: np.ndarray, t: float, wx: np.ndarray) -> np.ndarray:
+    """np.exp(1j*t*g_vals) @ wx, by row blocks of about SERIAL_BLAS_ENTRIES.
+
+    Each row's sum has the same bits as in one product over all rows, but no
+    block is large enough for OpenBLAS to start its thread pool.  A block
+    holds at least two rows: a lone row goes through another BLAS kernel,
+    whose bits differ.
+    """
+    q = g_vals.shape[0]
+    step = max(2, SERIAL_BLAS_ENTRIES // g_vals.shape[1])
+    out = np.empty(q, dtype=np.complex128)
+    lo = 0
+    while lo < q:
+        hi = q if q - lo <= step + 1 else lo + step
+        out[lo:hi] = np.exp(1j * t * g_vals[lo:hi]) @ wx
+        lo = hi
+    return out

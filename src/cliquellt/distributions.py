@@ -15,6 +15,13 @@ from .errors import DomainError, LatticeMismatchError
 LATTICE_TOL = 1e-9
 GAUSSIAN_TRUNCATION_SIGMAS = 12.0
 CHF_BLOCK = 1 << 16  # (t, x) phases per block of phase_blocks
+# Entries one BLAS reduction may take.  OpenBLAS 0.3.31 ran a one-row real
+# product of 12288 entries (not 8192), and a complex matrix-vector product of
+# 4096 entries with 4 to 28 columns, on its thread pool.  On a 2-core host
+# each such call took about 8 ms instead of microseconds, and a one-row sum
+# split across threads adds in another order, so its bits depended on the
+# thread count.  Products this small stay on the calling thread.
+SERIAL_BLAS_ENTRIES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -128,8 +135,12 @@ class EmpiricalDistribution:
 
 
 def phase_blocks(ts: np.ndarray, x: np.ndarray):
-    """(t slice, x slice, t*x) blocks of at most CHF_BLOCK phases over flat ts and x."""
-    xstep = max(1, min(x.size, CHF_BLOCK))
+    """(t slice, x slice, t*x) blocks of at most CHF_BLOCK phases over flat ts and x.
+
+    A block spans at most SERIAL_BLAS_ENTRIES of x, so each row's sum over
+    it stays on one thread.
+    """
+    xstep = max(1, min(x.size, CHF_BLOCK, SERIAL_BLAS_ENTRIES))
     tstep = CHF_BLOCK // xstep
     for xlo in range(0, x.size, xstep):
         for tlo in range(0, ts.size, tstep):

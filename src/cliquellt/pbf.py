@@ -19,6 +19,8 @@ from .ground import EdgeGround, GraphAssignment
 
 PRUNE_TOL = 1e-14
 TRANSFORM_EDGE_CAP = 25
+BUTTERFLY_BLOCK_BYTES = 1 << 19  # one block of a butterfly pass stays in L2
+BUTTERFLY_LOW_EDGES = 5  # edges a block takes on its transposed copy
 
 Key = frozenset
 
@@ -111,7 +113,14 @@ class PBFunction:
         for S, c in self.coeffs.items():
             v[sum(1 << e for e in S)] = c
         c0, c1 = chi_value(self.p, 0), chi_value(self.p, 1)
-        return _butterfly(v, m, lambda v0, v1: (v0 + c0 * v1, v0 + c1 * v1))
+
+        def step(v0, v1, tmp):
+            np.multiply(v1, c0, out=tmp)
+            v1 *= c1
+            v1 += v0  # v0 + c1 v1
+            v0 += tmp  # v0 + c0 v1
+
+        return _butterfly(v, m, step)
 
     def _check_assignment(self, g: GraphAssignment) -> int:
         if isinstance(self.ground, EdgeGround):
@@ -256,35 +265,48 @@ def popcount_array(m: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << m, dtype=np.uint32))
 
 
-def _edge_halves(v: np.ndarray, m: int):
-    """Per edge e of a table of length 2^m, edge 0 first: views (v0, v1) of its
-    entries with bit e clear and set, matched entry by entry.
-
-    While a run of 2^e entries is shorter than 32 bytes, an edge's halves come
-    as 2^e strided column pairs instead: numpy then runs one long loop per
-    column rather than one tiny loop per run, which made these edges the
-    slowest passes.
-    """
-    for e in range(m):
-        if (1 << e) * v.itemsize < 32:
-            w = v.reshape(-1, 2 << e)
-            for j in range(1 << e):
-                yield w[:, j], w[:, j + (1 << e)]
-        else:
-            w = v.reshape(-1, 2, 1 << e)
-            yield w[:, 0, :], w[:, 1, :]
-
-
 def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
-    """Apply a per-edge 2x2 step to a table of length 2^m, in place, edge 0 first.
+    """Apply a per-edge 2x2 step to a table of length 2^m, in place.
 
-    ``step(v0, v1)`` gets matching pieces of the halves of the table with edge
-    e's bit 0 and 1, and returns their new values, computed before either
-    piece is overwritten.  It must act entry by entry.
+    Every entry gets edges 0..m-1 in order, as in a plain pass per edge, so
+    the bits do not depend on how the table is cut.  The passes run on
+    cache-sized pieces (BUTTERFLY_BLOCK_BYTES) instead of the whole table:
+    a block of 2^b contiguous entries takes edges 0..b-1, its lowest
+    BUTTERFLY_LOW_EDGES on a transposed copy, so that in a full block no pass
+    works on runs shorter than 32 bytes; edges b..m-1 then run on copied
+    column strips of the table viewed as (2^(m-b), 2^b).
+
+    ``step(v0, v1, tmp)`` gets matching views of entries with edge e's bit 0
+    and 1, and a scratch array of their shape; it overwrites v0 and v1 with
+    their new values, entry by entry.
     """
-    for v0, v1 in _edge_halves(v, m):
-        v0[...], v1[...] = step(v0, v1)
+    b = min(m, (BUTTERFLY_BLOCK_BYTES // v.itemsize).bit_length() - 1)
+    lo = min(b, BUTTERFLY_LOW_EDGES)
+    buf = np.empty(1 << max(b, m - b), dtype=v.dtype)  # a block, or a strip
+    tmp = np.empty(buf.size >> 1, dtype=v.dtype)
+    flipped = buf[: 1 << b].reshape(1 << lo, 1 << (b - lo))  # flipped[j, i] = block[i * 2^lo + j]
+    for block in v.reshape(-1, 1 << b):
+        grid = block.reshape(1 << (b - lo), 1 << lo)
+        np.copyto(flipped, grid.T)
+        _passes(flipped.reshape(-1), range(b - lo, b), step, tmp)
+        np.copyto(grid, flipped.T)
+        _passes(block, range(lo, b), step, tmp)
+    if m > b:
+        width = max(2 * b - m, 0)  # a strip of 2^width columns holds 2^max(b, m-b) entries
+        rows = v.reshape(1 << (m - b), 1 << b)
+        strip = buf[: 1 << (m - b + width)].reshape(1 << (m - b), 1 << width)
+        for c in range(0, 1 << b, 1 << width):
+            np.copyto(strip, rows[:, c : c + (1 << width)])
+            _passes(strip.reshape(-1), range(width, width + m - b), step, tmp)
+            np.copyto(rows[:, c : c + (1 << width)], strip)
     return v
+
+
+def _passes(v: np.ndarray, bits: Iterable[int], step: Callable, tmp: np.ndarray) -> None:
+    """One step per bit position of the flat array v, in the order given."""
+    for e in bits:
+        w = v.reshape(-1, 2, 1 << e)
+        step(w[:, 0], w[:, 1], tmp[: v.size >> 1].reshape(-1, 1 << e))
 
 
 def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
@@ -296,18 +318,26 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
     m = ground.size
     if m > TRANSFORM_EDGE_CAP:
         raise CapacityError(f"exhaustive transform capped at {TRANSFORM_EDGE_CAP} edges, got {m}")
-    vals = np.asarray(table, dtype=np.float64)
-    if vals.shape != (1 << m,):
+    v = np.array(table, dtype=np.float64)
+    if v.shape != (1 << m,):
         raise DomainError(f"table must have length 2^{m}")
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0,1), got {p}")
 
     # Per-edge butterfly: the weighted transform factorizes over edges.
-    root = math.sqrt(p * (1.0 - p))
-    v = _butterfly(vals.copy(), m, lambda v0, v1: ((1.0 - p) * v0 + p * v1, root * (v1 - v0)))
+    q, root = 1.0 - p, math.sqrt(p * (1.0 - p))
+
+    def step(v0, v1, tmp):
+        np.multiply(v1, p, out=tmp)
+        v1 -= v0
+        v1 *= root  # root (v1 - v0)
+        v0 *= q
+        v0 += tmp  # (1-p) v0 + p v1
+
+    _butterfly(v, m, step)
 
     coeffs: dict[Key, float] = {}
-    nz = np.nonzero(np.abs(v) > PRUNE_TOL)[0]
+    nz = np.nonzero((v > PRUNE_TOL) | (v < -PRUNE_TOL))[0]
     for mask in nz:
         mask = int(mask)
         key = frozenset(i for i in range(m) if (mask >> i) & 1)

@@ -207,3 +207,17 @@ def test_mainchf_cp_matches_p_form():
         bp = BoundParams(ell=1, d=1, t=0.1, T=1.0, delta=0.01, eta=0.1, spectral1=0.1, lam=lam)
         direct = (1.0 + abs(1.0 - 2.0 * p) / math.sqrt(p * (1 - p))) * math.sqrt((1 - lam) / lam)
         assert bp.cp == pytest.approx(direct)
+
+
+def test_hyperconc_moment_past_the_float_range_is_inf():
+    # (2q-1)^{dq} = 1999^10000 used to raise OverflowError
+    assert hyperconc_moment(HypParams(10, 0.5), 1.0, 1000.0) == math.inf
+    assert hyperconc_moment(HypParams(10, 0.5), 0.0, 1000.0) == math.inf  # not inf * 0 = nan
+
+
+def test_mainchf_past_the_float_range_is_inf():
+    # (ell+1)! for ell=200 is past the float range; dividing by it used to raise OverflowError
+    bp = BoundParams(ell=200, d=3, t=0.5, T=1.0, delta=0.1, eta=0.5, spectral1=2.0, lam=0.5)
+    assert mainchf_bound(bp) == math.inf
+    # (2e)^{ell/2} in the validity limit passes it too: the limit is then no limit
+    assert mainchf_bound(BoundParams(**{**vars(bp), "ell": 2000})) == math.inf

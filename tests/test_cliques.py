@@ -219,6 +219,14 @@ def test_variance_leading_term():
         assert abs(variance(spec) - lead) / lead < 0.1
 
 
+def test_variance_leading_coefficient_is_correctly_rounded_or_a_domain_error():
+    for r, p in ((3, 0.5), (3, 0.3), (5, 0.37)):
+        exact = Fraction(p) ** (r * (r - 1) - 1) * (1 - Fraction(p)) / (2 * math.factorial(r - 2) ** 2)
+        assert variance_leading_coefficient(r, p) == float(exact)
+    with pytest.raises(DomainError):  # ((r-2)!)^2 used to overflow the float conversion
+        variance_leading_coefficient(200, 0.5)
+
+
 def test_fourier_coeff_fr_against_transform():
     from cliquellt import fourier_transform
 

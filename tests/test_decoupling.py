@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cliquellt
 from cliquellt import (
     BlockPartition,
     CliqueSpec,
@@ -28,6 +33,8 @@ from cliquellt import (
     rainbow_cliques,
 )
 from cliquellt.cliques import counts_over_all_graphs
+from cliquellt.decoupling import _inner_chf
+from cliquellt.distributions import SERIAL_BLAS_ENTRIES
 from cliquellt.pbf import assignment_weights, gamma_coeff
 
 
@@ -380,3 +387,32 @@ def test_decoupling_check_deterministic():
     a = decoupling_check(f, part, 1.0, mc)
     b = decoupling_check(f, part, 1.0, mc)
     assert a.rhs == b.rhs and a.rhs_stderr == b.rhs_stderr
+
+
+@pytest.mark.parametrize("cols", [8, 64, 4096])
+def test_inner_chf_has_the_bits_of_one_product(cols):
+    # row blocks of at least two rows: a lone row takes another BLAS kernel
+    rng = np.random.default_rng(cols)
+    wx = rng.random(cols)
+    step = max(2, SERIAL_BLAS_ENTRIES // cols)
+    for q in sorted({1, 2, 3, step, step + 1, step + 2, 2 * step + 1, 3 * step - 1}):
+        g = rng.normal(size=(q, cols)) * 3
+        want = np.exp(1j * 0.7 * g) @ wx
+        assert np.array_equal(_inner_chf(g, 0.7, wx).view(np.uint64), want.view(np.uint64))
+
+
+def test_exact_chf_and_decoupling_check_do_not_depend_on_the_blas_thread_count():
+    code = (
+        "from cliquellt import CliqueSpec, exact_chf, fr_function\n"
+        "from cliquellt.cli import main\n"
+        "print(repr(exact_chf(fr_function(CliqueSpec(6, 3, 0.5)), 0.5)))\n"  # a 2^15-entry table
+        "main(['decoupling-check', '--n', '6', '--r', '3', '--samples', '2000', '--seed', '5'])\n"
+    )
+    src = str(Path(cliquellt.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr.decode()
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from cliquellt import (
     multiply,
 )
 from cliquellt.cliques import counts_over_all_graphs
-from cliquellt.pbf import _edge_halves, assignment_weights, gamma_coeff, popcount_array
+from cliquellt import pbf
+from cliquellt.pbf import PRUNE_TOL, _butterfly, assignment_weights, gamma_coeff, popcount_array
 
 
 def random_function(ground, p, rng, *, max_degree=None, density=0.3):
@@ -308,10 +310,66 @@ def test_ground_mismatch_rejected():
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
-def test_edge_halves_pair_every_entry_with_its_edge_flip(dtype):
-    # both ways of cutting a pass: strided columns for the low edges, halves above
-    m = 6
-    v = np.arange(1 << m).astype(dtype)
-    pairs = [(int(a), int(b)) for v0, v1 in _edge_halves(v, m) for a, b in zip(v0.ravel(), v1.ravel())]
-    want = [(g, g | 1 << e) for e in range(m) for g in range(1 << m) if not g >> e & 1]
-    assert sorted(pairs) == sorted(want)
+def test_butterfly_pairs_every_entry_with_its_edge_flip(monkeypatch, dtype):
+    # a whole-table block, and small blocks that also run the transposed copy and the strips
+    m = 8
+    want = sorted((g, g | 1 << e) for e in range(m) for g in range(1 << m) if not g >> e & 1)
+    for block_bytes in (1 << 3, 1 << 4, 1 << 6, pbf.BUTTERFLY_BLOCK_BYTES):
+        monkeypatch.setattr(pbf, "BUTTERFLY_BLOCK_BYTES", block_bytes)
+        v = np.arange(1 << m).astype(dtype)
+        pairs = []
+        _butterfly(v, m, lambda v0, v1, tmp: pairs.extend(zip(v0.ravel().tolist(), v1.ravel().tolist())))
+        assert sorted(pairs) == want
+        assert np.array_equal(v, np.arange(1 << m))
+
+
+def _edge_halves(v, m):
+    """The unblocked butterfly's passes: per edge, views (v0, v1) of the whole table,
+    cut into strided columns while a run is shorter than 32 bytes."""
+    for e in range(m):
+        if (1 << e) * v.itemsize < 32:
+            w = v.reshape(-1, 2 << e)
+            for j in range(1 << e):
+                yield w[:, j], w[:, j + (1 << e)]
+        else:
+            w = v.reshape(-1, 2, 1 << e)
+            yield w[:, 0, :], w[:, 1, :]
+
+
+def _per_edge_butterfly(v, m, step):
+    for v0, v1 in _edge_halves(v, m):
+        v0[...], v1[...] = step(v0, v1)
+    return v
+
+
+BLOCK_EDGES = (pbf.BUTTERFLY_BLOCK_BYTES // 8).bit_length() - 1  # float64 entries per block, log2
+
+
+@pytest.mark.parametrize("m", sorted({0, 1, 3, 10, 15, 21, BLOCK_EDGES, BLOCK_EDGES + 1}))
+def test_blocked_butterfly_keeps_the_bits_of_the_per_edge_loop(m):
+    rng = np.random.default_rng(m)
+    ground = SimpleNamespace(size=m)
+    # low-degree keys keep the transforms sparse, so the m=21 coefficient maps stay small
+    keys = {frozenset(rng.choice(m, size=min(m, 4), replace=False).tolist()) for _ in range(30)}
+    masks = [sum(1 << e for e in S) for S in keys]
+    if m <= 10:
+        table = rng.random(1 << m)
+    else:  # the number of keys inside each g: a zeta table, sparse in the Fourier basis
+        table = np.zeros(1 << m)
+        table[masks] = 1.0
+        _per_edge_butterfly(table, m, lambda v0, v1: (v0, v1 + v0))
+    for p in (0.5, 0.3, 0.37):
+        root = math.sqrt(p * (1.0 - p))
+        ref = _per_edge_butterfly(table.copy(), m, lambda v0, v1: ((1.0 - p) * v0 + p * v1, root * (v1 - v0)))
+        nz = np.nonzero(np.abs(ref) > PRUNE_TOL)[0]
+        got = fourier_transform(table, ground, p).coeffs
+        assert list(got) == [frozenset(i for i in range(m) if g >> i & 1) for g in nz.tolist()]
+        assert np.array_equal(np.array(list(got.values())).view(np.uint64), ref[nz].view(np.uint64))
+
+        f = PBFunction(ground, p, {S: rng.normal() for S in keys})
+        c0, c1 = chi_value(p, 0), chi_value(p, 1)
+        ref = np.zeros(1 << m)
+        for S, c in f.coeffs.items():
+            ref[sum(1 << e for e in S)] = c
+        _per_edge_butterfly(ref, m, lambda v0, v1: (v0 + c0 * v1, v0 + c1 * v1))
+        assert np.array_equal(f.table().view(np.uint64), ref.view(np.uint64))
