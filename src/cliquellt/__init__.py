@@ -22,7 +22,6 @@ from .cliques import (
     exact_distribution,
     fourier_coeff_fr,
     fr_function,
-    kappa_coeff,
     kappa_function,
     mean,
     moments,

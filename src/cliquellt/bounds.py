@@ -17,6 +17,11 @@ def _check_p(p: float) -> None:
         raise DomainError(f"p must lie in (0,1), got {p}")
 
 
+def _chi_values(p: float) -> tuple[float, float]:
+    """chi_e at x_e = 1 and at x_e = 0; finite for every p in (0, 1), where (1-p)/p can overflow."""
+    return math.sqrt(1.0 - p) / math.sqrt(p), -math.sqrt(p) / math.sqrt(1.0 - p)
+
+
 # -- Bernoulli characteristic functions ---------------------------------------
 
 BERNOULLI_VARIANTS = ("Y", "x", "chi")
@@ -57,8 +62,9 @@ def bernoulli_chf_exact(t: float, p: float, variant: str = "chi") -> float:
     if variant == "x":
         return abs(p * cmath.exp(1j * t) + (1.0 - p))
     if variant == "chi":
-        hi = math.sqrt((1.0 - p) / p)
-        lo = -math.sqrt(p / (1.0 - p))
+        hi, lo = _chi_values(p)
+        if math.isinf(t * hi):
+            raise DomainError(f"t * chi = {t} * {hi:.6g} is past the float range")
         return abs(p * cmath.exp(1j * t * hi) + (1.0 - p) * cmath.exp(1j * t * lo))
     raise DomainError(f"unknown variant {variant!r}, expected one of {BERNOULLI_VARIANTS}")
 
@@ -86,12 +92,17 @@ def berry_esseen_gap(n: int, p: float, t: float) -> tuple[float, float]:
         raise DomainError(f"|t| must be <= 1/(4 L_n) = {1.0 / (4.0 * ln):.6g}, got {t}")
     bound = 16.0 * ln * abs(t) ** 3 * math.exp(-t * t / 3.0)
     m = binom(n, 2)
-    q = 1.0 / math.sqrt(m)
-    hi = math.sqrt((1.0 - p) / p)
-    lo = -math.sqrt(p / (1.0 - p))
-    single = p * cmath.exp(1j * t * q * hi) + (1.0 - p) * cmath.exp(1j * t * q * lo)
-    exact_gap = abs(single**m - math.exp(-t * t / 2.0))
-    return bound, exact_gap
+    s = t / math.sqrt(m)
+    hi, lo = _chi_values(p)
+    # In log space, without cancellation: E e^{is chi_e} = 1 + z, using
+    # e^{ix} - 1 = 2i sin(x/2) e^{ix/2}, and E e^{itX} = (1 + z)^m = e^{-t^2/2} e^w.
+    z = sum(2j * q * math.sin(s * x / 2.0) * cmath.exp(0.5j * s * x) for q, x in ((p, hi), (1.0 - p, lo)))
+    log1p = complex(0.5 * math.log1p(2.0 * z.real + abs(z) ** 2), math.atan2(z.imag, 1.0 + z.real))
+    w = m * log1p + t * t / 2.0
+    # |e^a - e^b| = e^max(a, b) |e^{-|a - b|} - 1| for real parts, and conjugation keeps |.|
+    u, v = -abs(w.real), w.imag
+    expm1 = complex(math.expm1(u) * math.cos(v) - 2.0 * math.sin(v / 2.0) ** 2, math.exp(u) * math.sin(v))
+    return bound, math.exp(max(w.real, 0.0) - t * t / 2.0) * abs(expm1)
 
 
 # -- hypercontractivity ----------------------------------------------------------
@@ -118,11 +129,17 @@ def hyperconc_tail(hp: HypParams, norm2: float, t: float) -> float:
     """
     if norm2 < 0:
         raise DomainError("norm2 must be nonnegative")
-    if t < (2.0 * math.e / hp.lam) ** (hp.d / 2.0):
-        raise DomainError(
-            f"tail bound needs t >= (2e/lambda)^(d/2) = {(2.0 * math.e / hp.lam) ** (hp.d / 2.0):.6g}"
-        )
-    return hp.lam**hp.d * math.exp(-(hp.d / (2.0 * math.e)) * hp.lam * t ** (2.0 / hp.d))
+    try:
+        floor = (2.0 * math.e / hp.lam) ** (hp.d / 2.0)
+    except OverflowError:  # a floor past the float range: no float t reaches it
+        floor = math.inf
+    if not t >= floor:
+        raise DomainError(f"tail bound needs t >= (2e/lambda)^(d/2) = {floor:.6g}, got {t}")
+    try:
+        decay = (hp.d / (2.0 * math.e)) * hp.lam * t ** (2.0 / hp.d)
+    except OverflowError:  # t^{2/d} past the float range: the bound is e^{-inf} = 0
+        return 0.0
+    return hp.lam**hp.d * math.exp(-decay)
 
 
 def hyperconc_moment(hp: HypParams, norm2: float, q: float) -> float:
@@ -210,22 +227,23 @@ def mainchf_bound(bp: BoundParams) -> float:
         )
     try:
         eps = bp.epsilon
-        term1 = ell * eps * (1.0 + (t * bp.cp**d * bp.spectral1) ** ell)
+        total = ell * eps * (1.0 + (t * bp.cp**d * bp.spectral1) ** ell)
         teta = t * eta
-        if teta == 0.0:
-            # limit conventions: the Taylor and tail terms vanish with eta or t
-            return term1
-        term2 = (
-            teta ** (ell + 1)
-            / math.factorial(ell + 1)
-            * ell ** (d * (ell + 1) / 2.0)
-            * lam ** (d * (1.0 - ell) / 2.0)
-        )
-        decay = (d * lam / (2.0 * math.e)) * teta ** (-2.0 / d)
-        term3 = lam**d * math.exp(-decay)
-        term4 = teta ** ((ell + 1) / 2.0) * lam ** ((3.0 * d - ell) / 4.0) * (ell + 1) * math.exp(
-            -decay / 2.0
-        )
-        return term1 + term2 + term3 + term4
+        if teta > 0.0:  # limit conventions: the Taylor and tail terms vanish with eta or t
+            term2 = (
+                teta ** (ell + 1)
+                / math.factorial(ell + 1)
+                * ell ** (d * (ell + 1) / 2.0)
+                * lam ** (d * (1.0 - ell) / 2.0)
+            )
+            decay = (d * lam / (2.0 * math.e)) * teta ** (-2.0 / d)
+            term3 = lam**d * math.exp(-decay)
+            term4 = teta ** ((ell + 1) / 2.0) * lam ** ((3.0 * d - ell) / 4.0) * (ell + 1) * math.exp(
+                -decay / 2.0
+            )
+            total = total + term2 + term3 + term4  # left to right, as the bound reads
     except OverflowError:  # a term past the float range: inf still bounds the gap
         return math.inf
+    # nan comes from inf * 0 (t = 0 with C_p^d = inf at a subnormal lam, say); the
+    # exact terms are finite and nonnegative, so inf bounds them
+    return math.inf if math.isnan(total) else total

@@ -63,15 +63,23 @@ class CliqueMoments:
     weight_tail: float
 
 
+def _ratio(num: int, den: int, what: str) -> float:
+    """num / den, which Python rounds correctly; DomainError when den is 0 or the
+    value is beyond the float range (too large, or nonzero but rounding to 0.0)."""
+    try:
+        value = num / den
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{what} is not a finite float: {exc}") from exc
+    if value == 0.0 and num != 0:
+        raise DomainError(f"{what} underflows a float")
+    return value
+
+
 def mean(spec: CliqueSpec) -> float:
-    """E[f_r] = p^C(r,2) * C(n,r), correctly rounded: with p = a/b exactly,
-    (a^e * C(n,r)) / b^e is an int/int division, which Python rounds correctly."""
+    """E[f_r] = p^C(r,2) * C(n,r): with p = a/b exactly, (a^e * C(n,r)) / b^e."""
     a, b = spec.p.as_integer_ratio()
     e = binom(spec.r, 2)
-    try:
-        return (a**e * binom(spec.n, spec.r)) / b**e
-    except OverflowError as exc:
-        raise DomainError(f"mean of {spec} overflows a float") from exc
+    return _ratio(a**e * binom(spec.n, spec.r), b**e, f"mean of {spec}")
 
 
 @lru_cache(maxsize=None)
@@ -101,51 +109,44 @@ def fourier_coeff_fr(spec: CliqueSpec, edges: Iterable[int]) -> float:
     return spec.p ** binom(spec.r, 2) * ratio ** (len(S) / 2.0) * binom(spec.n - s, spec.r - s)
 
 
+def _variance_terms(spec: CliqueSpec) -> tuple[int, int, int]:
+    """b^{2e} sigma^2, b^{2e} f_r_hat({uv})^2 for one edge uv, and b^{2e}; p = a/b, e = C(r,2).
+
+    f_r_hat(S)^2 = p^{2e} x^|S| C(n-t, r-t)^2 for S spanning t vertices, x = (1-p)/p, and
+    sum_m ncov(t, m) x^m = sum_j (-1)^j C(t,j) (1+x)^C(t-j,2) over K_t, with 1 + x = b/a.
+    """
+    a, b = spec.p.as_integer_ratio()
+    n, r, e = spec.n, spec.r, binom(spec.r, 2)
+    power = [a ** (2 * e - binom(i, 2)) * b ** binom(i, 2) for i in range(r + 1)]  # i = t - j
+    total = 0
+    for t in range(2, r + 1):
+        cover = sum((-1) ** (t - i) * binom(t, i) * power[i] for i in range(t + 1))
+        total += binom(n, t) * binom(n - t, r - t) ** 2 * cover
+    return total, a ** (2 * e - 1) * (b - a) * binom(n - 2, r - 2) ** 2, b ** (2 * e)
+
+
 def variance(spec: CliqueSpec) -> float:
-    """sigma^2 = sum over nonempty S of f_r_hat(S)^2, grouped by (|supp|, |S|)."""
-    if spec.n < spec.r:
-        return 0.0
-    total = 0.0
-    base = spec.p ** binom(spec.r, 2)
-    ratio = (1.0 - spec.p) / spec.p
-    for t in range(2, spec.r + 1):
-        cnr = binom(spec.n - t, spec.r - t)
-        if cnr == 0:
-            continue
-        inner = 0.0
-        for m in range(1, binom(t, 2) + 1):
-            ncov = covering_edge_subsets(t, m)
-            if ncov:
-                inner += ncov * (base * ratio ** (m / 2.0) * cnr) ** 2
-        total += binom(spec.n, t) * inner
-    return total
+    """sigma^2 = sum over nonempty S of f_r_hat(S)^2, correctly rounded (0 when n < r)."""
+    num, _, den = _variance_terms(spec)
+    return _ratio(num, den, f"variance of {spec}")
 
 
 def variance_leading_coefficient(r: int, p: float) -> float:
-    """Coefficient of n^{2r-2} in sigma^2: p^{r(r-1)-1}(1-p) / (2 ((r-2)!)^2).
-
-    Correctly rounded, as in ``mean``: with p = a/b exactly it is one int/int
-    division.  Raises DomainError when it is below the smallest float.
-    """
+    """Coefficient of n^{2r-2} in sigma^2: p^{r(r-1)-1}(1-p) / (2 ((r-2)!)^2),
+    correctly rounded: with p = a/b exactly it is one int/int division."""
+    if r < 3 or not (0.0 < p < 1.0):
+        raise DomainError(f"need r >= 3 and 0 < p < 1, got r={r}, p={p}")
     a, b = float(p).as_integer_ratio()
     e = r * (r - 1) - 1
-    coeff = (a**e * (b - a)) / (2 * b ** (e + 1) * math.factorial(r - 2) ** 2)
-    if coeff == 0.0:
-        raise DomainError(f"variance leading coefficient at r={r}, p={p} underflows a float")
-    return coeff
-
-
-def kappa_coeff(spec: CliqueSpec, edges: Iterable[int]) -> float:
-    """Fourier coefficient of kappa = (f_r - mu)/sigma: 0 at the empty set."""
-    S = frozenset(edges)
-    if not S:
-        return 0.0
-    return fourier_coeff_fr(spec, S) / spec.sigma
+    den = 2 * b ** (e + 1) * math.factorial(r - 2) ** 2
+    return _ratio(a**e * (b - a), den, f"variance leading coefficient at r={r}, p={p}")
 
 
 def weight_profile(spec: CliqueSpec) -> tuple[float, float]:
-    """(W^1, W^{>1}) of kappa: degree-1 Parseval weight and its complement."""
-    w1 = binom(spec.n, 2) * kappa_coeff(spec, [0]) ** 2
+    """(W^1, W^{>1}) of kappa: W^1 = C(n,2) f_r_hat({uv})^2 / sigma^2 and its complement,
+    correctly rounded; DomainError when sigma = 0 (n < r)."""
+    num, edge, _ = _variance_terms(spec)
+    w1 = _ratio(binom(spec.n, 2) * edge, num, f"degree-1 weight of {spec}")
     return w1, 1.0 - w1
 
 

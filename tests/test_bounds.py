@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquellt import (
     BoundParams,
@@ -80,6 +82,23 @@ def test_berry_esseen_cubic_small_t():
     assert 2.5 <= slope <= 3.5
 
 
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**6])
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_berry_esseen_gap_matches_a_50_digit_reference(n, p):
+    # single**m lost every digit here: at (10^6, .5) it read 9.7e-6 against a bound of 2.6e-6
+    mpmath = pytest.importorskip("mpmath")
+    t = 0.5
+    with mpmath.workdps(50):
+        m = math.comb(n, 2)
+        q, s = mpmath.mpf(p), mpmath.mpf(t) / mpmath.sqrt(m)
+        hi, lo = mpmath.sqrt((1 - q) / q), -mpmath.sqrt(q / (1 - q))
+        single = q * mpmath.expj(s * hi) + (1 - q) * mpmath.expj(s * lo)
+        exact = float(abs(single**m - mpmath.exp(-mpmath.mpf(t) ** 2 / 2)))
+    bound, gap = berry_esseen_gap(n, p, t)
+    assert gap == pytest.approx(exact, rel=0.01)
+    assert gap <= bound
+
+
 def test_berry_esseen_range_error():
     with pytest.raises(DomainError):
         berry_esseen_gap(20, 0.5, 100.0)
@@ -137,6 +156,62 @@ def test_hyperconc_tail_validity_floor():
         hyperconc_tail(hp, 1.0, 1.0)
     with pytest.raises(DomainError):
         hyperconc_moment(hp, 1.0, 0.5)
+
+
+def test_hyperconc_tail_far_thresholds_do_not_overflow():
+    # (2e/lambda)^(d/2) overflowed at d = 1000, and t^(2/d) at t = 1e300
+    with pytest.raises(DomainError):
+        hyperconc_tail(HypParams(d=1000, lam=0.5), 1.0, 1e300)
+    assert hyperconc_tail(HypParams(d=1, lam=1e-300), 1.0, 1e300) == 0.0
+    assert hyperconc_tail(HypParams(d=1, lam=0.5), 1.0, math.inf) == 0.0
+    with pytest.raises(DomainError):
+        hyperconc_tail(HypParams(d=1, lam=0.5), 1.0, math.nan)
+
+
+finite = st.floats(-1e300, 1e300)
+nonneg = st.floats(0.0, 1e300)
+unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+lam = st.floats(0.0, 0.5, exclude_min=True)
+
+
+def _finite_inf_or_domain_error(call):
+    try:
+        out = call()
+    except DomainError:
+        return
+    for value in out if isinstance(out, tuple) else (out,):
+        assert isinstance(value, float) and not math.isnan(value), (out, value)
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(0, 10**7),
+    p=unit,
+    t=finite,
+    t_share=st.floats(0.0, 1.0),
+    variant=st.sampled_from(["Y", "x", "chi"]),
+    d=st.integers(1, 2000),
+    lam=lam,
+    norm2=nonneg,
+    q=st.floats(0.0, 1e6),
+    ell=st.integers(1, 300),
+    params=st.tuples(nonneg, nonneg, nonneg, nonneg),
+)
+def test_bounds_return_a_float_or_a_domain_error(
+    n, p, t, t_share, variant, d, lam, norm2, q, ell, params
+):
+    hp = HypParams(d=d, lam=lam)
+    _finite_inf_or_domain_error(lambda: bernoulli_chf_bound(t, p, variant))
+    _finite_inf_or_domain_error(lambda: bernoulli_chf_exact(t, p, variant))
+    _finite_inf_or_domain_error(lambda: berry_esseen_ln(n, p))
+    _finite_inf_or_domain_error(lambda: berry_esseen_gap(n, p, t))
+    if n >= 2:  # a t inside the validity range too
+        inside = t_share / (4 * berry_esseen_ln(n, p))
+        _finite_inf_or_domain_error(lambda: berry_esseen_gap(n, p, inside))
+    _finite_inf_or_domain_error(lambda: hyperconc_tail(hp, norm2, t))
+    _finite_inf_or_domain_error(lambda: hyperconc_moment(hp, norm2, q))
+    bp = BoundParams(ell, d % 8 + 1, t * t_share, *params, lam)  # T, delta, eta, spectral1
+    _finite_inf_or_domain_error(lambda: mainchf_bound(bp))
 
 
 def make_mainchf_instance(p=0.5, ell=2):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -19,7 +20,6 @@ from cliquellt import (
     exact_distribution,
     fourier_coeff_fr,
     fr_function,
-    kappa_coeff,
     kappa_function,
     mean,
     moments,
@@ -27,6 +27,7 @@ from cliquellt import (
     weight_profile,
 )
 from cliquellt.cliques import (
+    _variance_terms,
     clique_edge_masks,
     counts_over_all_graphs,
     variance_leading_coefficient,
@@ -225,6 +226,78 @@ def test_variance_leading_coefficient_is_correctly_rounded_or_a_domain_error():
         assert variance_leading_coefficient(r, p) == float(exact)
     with pytest.raises(DomainError):  # ((r-2)!)^2 used to overflow the float conversion
         variance_leading_coefficient(200, 0.5)
+    for r, p in ((1, 0.5), (0, 0.5), (2, 0.5), (3, 1.5), (3, 0.0), (3, 1.0), (3, math.nan)):
+        with pytest.raises(DomainError):  # r = 1 raised from factorial; p = 1.5 gave -1.898
+            variance_leading_coefficient(r, p)
+
+
+def _variance_numerator_oracle(n, r, p):
+    """b^{2e} sigma^2 summed over (support size t, edge count m) with covering_edge_subsets."""
+    a, b = p.as_integer_ratio()
+    e = math.comb(r, 2)
+    total = 0
+    for t in range(2, min(n, r) + 1):
+        cover = sum(
+            covering_edge_subsets(t, m) * a ** (2 * e - m) * (b - a) ** m
+            for m in range(1, math.comb(t, 2) + 1)
+        )
+        total += math.comb(n, t) * math.comb(n - t, r - t) ** 2 * cover
+    return total
+
+
+@pytest.mark.parametrize(
+    "n, r, p",
+    [(n, r, p) for n in (0, 2, 3, 4, 7, 12) for r in (3, 4, 5) for p in (0.5, 0.3, 0.37, 1e-3, 0.999)]
+    + [(30, 4, 0.37), (60, 12, 0.3), (40, 20, 0.3)],
+)
+def test_variance_numerator_matches_the_covering_subset_oracle(n, r, p):
+    spec = CliqueSpec(n=n, r=r, p=p)
+    num, _, den = _variance_terms(spec)
+    assert num == _variance_numerator_oracle(n, r, p)
+    assert variance(spec) == float(Fraction(num, den))
+    if num:  # W^1 = C(n,2) f_r_hat({uv})^2 / sigma^2, with b^{2e} f_r_hat({uv})^2 below
+        a, b = p.as_integer_ratio()
+        edge = math.comb(n - 2, r - 2) ** 2 * a ** (2 * math.comb(r, 2) - 1) * (b - a)
+        assert weight_profile(spec)[0] == float(Fraction(math.comb(n, 2) * edge, num))
+
+
+def test_closed_forms_at_the_edge_of_the_float_range():
+    # the float loop gave 7.77e-211 here: p^C(r,2) underflowed before the square
+    assert variance(CliqueSpec(n=100, r=30, p=0.3)) == 1.0367745959709683e-202
+    with pytest.raises(DomainError):  # the float loop raised OverflowError
+        variance(CliqueSpec(n=400, r=60, p=0.5))
+    with pytest.raises(DomainError):  # used to return 0.0
+        mean(CliqueSpec(n=10**4, r=200, p=0.5))
+    assert variance(CliqueSpec(n=2, r=3, p=0.5)) == 0.0
+    with pytest.raises(DomainError):  # sigma = 0; used to raise ZeroDivisionError
+        weight_profile(CliqueSpec(n=2, r=3, p=0.5))
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(0, 60),
+    r=st.integers(3, 12),
+    p=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([5e-324, 1e-300, 1e-20, 0.5, 1 - 2**-53]),
+    ),
+)
+def test_closed_forms_return_a_float_or_a_domain_error(n, r, p):
+    spec = CliqueSpec(n=n, r=r, p=p)
+    calls = [
+        lambda: mean(spec),
+        lambda: variance(spec),
+        lambda: variance_leading_coefficient(r, p),
+        lambda: weight_profile(spec),
+        lambda: dataclasses.astuple(moments(spec)),
+    ]
+    for call in calls:
+        try:
+            out = call()
+        except DomainError:
+            continue
+        for value in out if isinstance(out, tuple) else (out,):
+            assert isinstance(value, float) and not math.isnan(value)
 
 
 def test_fourier_coeff_fr_against_transform():
@@ -268,8 +341,8 @@ def test_kappa_normalization():
     kap = kappa_function(spec)
     assert kap.expectation() == 0.0
     assert kap.norm2() == pytest.approx(1.0, abs=1e-10)
-    assert kappa_coeff(spec, []) == 0.0
-    assert kappa_coeff(spec, [0]) == pytest.approx(fourier_coeff_fr(spec, [0]) / spec.sigma)
+    assert kap.coeff([]) == 0.0
+    assert kap.coeff([0]) == pytest.approx(fourier_coeff_fr(spec, [0]) / spec.sigma)
 
 
 def test_weight_profile():
