@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,9 +15,13 @@ from cliquellt import (
     DomainError,
     EdgeGround,
     PBFunction,
+    alpha_transform,
+    build_clique_partition,
+    build_color_partition,
     chi_value,
     fourier_transform,
     fr_function,
+    kappa_function,
     multiply,
 )
 from cliquellt.cliques import counts_over_all_graphs
@@ -373,3 +379,63 @@ def test_blocked_butterfly_keeps_the_bits_of_the_per_edge_loop(m):
             ref[sum(1 << e for e in S)] = c
         _per_edge_butterfly(ref, m, lambda v0, v1: (v0 + c0 * v1, v0 + c1 * v1))
         assert np.array_equal(f.table().view(np.uint64), ref.view(np.uint64))
+
+
+def _coefficient_outputs():
+    """The sparse-layer outputs whose coefficients are pinned bit for bit."""
+    for n in (4, 5, 6):
+        for p in (0.5, 0.3, 0.37):
+            yield f"fr_function({n},3,{p})", fr_function(CliqueSpec(n, 3, p))
+    yield "kappa_function(6,3,0.5)", kappa_function(CliqueSpec(6, 3, 0.5))
+    for p in (0.5, 0.3, 0.37):
+        f = fr_function(CliqueSpec(6, 3, p))
+        for name, part in (
+            ("color", build_color_partition(6, 1, [3, 3])),  # the decoupling-check CLI's partition
+            ("clique", build_clique_partition(6, 3)),
+        ):
+            yield f"alpha_transform(fr_function(6,3,{p}),{name})", alpha_transform(f, part)
+    f = random_function(EdgeGround(4), 0.5, np.random.default_rng(5), max_degree=3, density=0.3)
+    yield "multiply(f,f,0.5)", multiply(f, f)
+    # chi(beta_e) is +-1 at p = 0.5, so the order of a key's factors cannot move a bit
+    yield "restrict(f,0.5)", f.restrict([0, 2, 3], {1: 1, 4: 0, 5: 1})
+    g = random_function(EdgeGround(4), 0.3, np.random.default_rng(5), max_degree=3, density=0.3)
+    yield "multiply(g,g,0.3)", multiply(g, g)  # gamma != 0: shared edges expand
+    table = counts_over_all_graphs(7, 3)
+    for p in (0.5, 0.3, 0.37):
+        yield f"fourier_transform(counts(7,3),{p})", fourier_transform(table, EdgeGround(7), p)
+
+
+COEFFICIENT_DIGESTS = {  # sha256 prefix of each output's (sorted key, value) list
+    "fr_function(4,3,0.5)": "21cde617657eebc2",
+    "fr_function(4,3,0.3)": "6c5889ef4920a4bd",
+    "fr_function(4,3,0.37)": "067ab9cc8c017b3f",
+    "fr_function(5,3,0.5)": "fbc327e3230165ed",
+    "fr_function(5,3,0.3)": "81612e70ab6aa063",
+    "fr_function(5,3,0.37)": "6e7791aeddf4a0f0",
+    "fr_function(6,3,0.5)": "0c7bc53f961dd420",
+    "fr_function(6,3,0.3)": "2747bda15372d7e2",
+    "fr_function(6,3,0.37)": "f778283d6f4d4636",
+    "kappa_function(6,3,0.5)": "347c85fdac941e5e",
+    "alpha_transform(fr_function(6,3,0.5),color)": "316bdfd99de896cd",
+    "alpha_transform(fr_function(6,3,0.5),clique)": "0d6da1d2bc777438",
+    "alpha_transform(fr_function(6,3,0.3),color)": "59b2df6ec379c8a7",
+    "alpha_transform(fr_function(6,3,0.3),clique)": "bc7d1e02241a86fe",
+    "alpha_transform(fr_function(6,3,0.37),color)": "b58ed4a801d39d00",
+    "alpha_transform(fr_function(6,3,0.37),clique)": "75ac6148e9272792",
+    "multiply(f,f,0.5)": "0766fcf96dd05b6d",
+    "restrict(f,0.5)": "abc74a9526230cdc",
+    "multiply(g,g,0.3)": "41073072f7941e7d",
+    "fourier_transform(counts(7,3),0.5)": "969e45200e59ea64",
+    "fourier_transform(counts(7,3),0.3)": "a2b81b383756b97a",
+    "fourier_transform(counts(7,3),0.37)": "dc8837cc475874ec",
+}
+
+
+def test_coefficient_bits_keys_and_order_are_pinned():
+    # each key as its sorted edge list: a frozenset pickles its elements in
+    # hash-table order, which depends on how the set was built
+    got = {
+        name: hashlib.sha256(pickle.dumps([(sorted(S), c) for S, c in g.coeffs.items()])).hexdigest()[:16]
+        for name, g in _coefficient_outputs()
+    }
+    assert got == COEFFICIENT_DIGESTS
