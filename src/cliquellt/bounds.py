@@ -40,15 +40,15 @@ def bernoulli_chf_bound(t: float, p: float, variant: str = "chi") -> float:
     _check_p(p)
     a = abs(t)
     if variant == "Y":
-        if a >= math.pi / 2:
+        if not a < math.pi / 2:
             raise DomainError(f"|t| must be < pi/2 for the +-1 variant, got {t}")
         return 1.0 - 8.0 * p * (1.0 - p) * t * t / math.pi**2
     if variant == "x":
-        if a >= math.pi:
+        if not a < math.pi:
             raise DomainError(f"|t| must be < pi for the indicator variant, got {t}")
         return 1.0 - 2.0 * p * (1.0 - p) * t * t / math.pi**2
     if variant == "chi":
-        if a >= math.sqrt(p * (1.0 - p)) * math.pi:
+        if not a < math.sqrt(p * (1.0 - p)) * math.pi:
             raise DomainError(f"|t| must be < sqrt(p(1-p))*pi for the chi variant, got {t}")
         return 1.0 - 2.0 * t * t / math.pi**2
     raise DomainError(f"unknown variant {variant!r}, expected one of {BERNOULLI_VARIANTS}")
@@ -57,6 +57,8 @@ def bernoulli_chf_bound(t: float, p: float, variant: str = "chi") -> float:
 def bernoulli_chf_exact(t: float, p: float, variant: str = "chi") -> float:
     """|E e^{itV}| in closed form, for oracle comparisons."""
     _check_p(p)
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     if variant == "Y":
         return abs(p * cmath.exp(1j * t) + (1.0 - p) * cmath.exp(-1j * t))
     if variant == "x":
@@ -88,7 +90,7 @@ def berry_esseen_gap(n: int, p: float, t: float) -> tuple[float, float]:
     |E e^{itX} - e^{-t^2/2}| is at most 16 L_n |t|^3 e^{-t^2/3}.
     """
     ln = berry_esseen_ln(n, p)
-    if abs(t) > 1.0 / (4.0 * ln):
+    if not abs(t) <= 1.0 / (4.0 * ln):
         raise DomainError(f"|t| must be <= 1/(4 L_n) = {1.0 / (4.0 * ln):.6g}, got {t}")
     bound = 16.0 * ln * abs(t) ** 3 * math.exp(-t * t / 3.0)
     m = binom(n, 2)
@@ -127,8 +129,8 @@ def hyperconc_tail(hp: HypParams, norm2: float, t: float) -> float:
 
     Valid for t >= (2e/lambda)^{d/2}.  (The prefactor is read as lambda^d.)
     """
-    if norm2 < 0:
-        raise DomainError("norm2 must be nonnegative")
+    if not norm2 >= 0:
+        raise DomainError(f"norm2 must be nonnegative, got {norm2}")
     try:
         floor = (2.0 * math.e / hp.lam) ** (hp.d / 2.0)
     except OverflowError:  # a floor past the float range: no float t reaches it
@@ -149,10 +151,10 @@ def hyperconc_moment(hp: HypParams, norm2: float, q: float) -> float:
     by Jensen (E|f|^{2q} >= norm2^{2q} for q >= 1).  Returns inf when a factor
     passes the float range.
     """
-    if q < 1:
+    if not q >= 1:
         raise DomainError(f"moment order q must be >= 1, got {q}")
-    if norm2 < 0:
-        raise DomainError("norm2 must be nonnegative")
+    if not norm2 >= 0:
+        raise DomainError(f"norm2 must be nonnegative, got {norm2}")
     try:
         growth = (2.0 * q - 1.0) ** (hp.d * q) * hp.lam ** (hp.d * (1.0 - q))
         # inf * 0.0 would be nan; inf is still an upper bound
@@ -188,8 +190,8 @@ class BoundParams:
         if self.d < 1:
             raise DomainError("degree d must be >= 1")
         for name in ("T", "delta", "eta", "spectral1"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be nonnegative")
+            if not getattr(self, name) >= 0:
+                raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not (0.0 < self.lam <= 0.5):
             raise DomainError(f"lambda must lie in (0, 1/2], got {self.lam}")
 
@@ -221,7 +223,7 @@ def mainchf_bound(bp: BoundParams) -> float:
         lim2 = (2.0 * math.e) ** (ell / 2.0) * lam ** (-ell / 2.0) / eta if eta > 0 else math.inf
     except OverflowError:
         lim2 = math.inf
-    if t >= min(lim1, lim2):
+    if not t < min(lim1, lim2):
         raise DomainError(
             f"|t|={t:.6g} outside validity range < min({lim1:.6g}, {lim2:.6g})"
         )

@@ -2,7 +2,8 @@
 
 Every flag can also be set through an environment variable with the
 ``CLIQUELLT_`` prefix (dashes become underscores), e.g. ``CLIQUELLT_SEED=7``.
-Exit code is 0 iff every asserted inequality passed.
+Exit code is 0 iff every asserted inequality passed, 1 if one failed and 2
+for bad arguments or a library error (one line on stderr).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .cliques import CliqueSpec, exact_distribution, moments
 from .cliques import EXACT_DISTRIBUTION_EDGE_CAP, fr_function
 from .decoupling import build_color_partition, decoupling_check, exact_chf
 from .distributions import LatticeSpec, discrete_gaussian, l1_distance, linf_distance
+from .errors import CapacityError, DomainError
 from .ground import binom
 from .pbf import assignment_weights
 from .sampling import (
@@ -196,12 +198,10 @@ def cmd_decoupling_check(args) -> int:
     part = build_color_partition(spec.n, 1, [half, spec.n - half])
     f = fr_function(spec)
     mc = MCConfig(seed=args.seed, samples=args.samples, workers=args.workers)
-    rows = []
-    all_ok = True
-    for t in (0.5, 1.0, 2.0):
-        chk = decoupling_check(f, part, t, mc)
-        rows.append([t, chk.lhs, chk.rhs, chk.rhs_stderr, int(chk.holds)])
-        all_ok = all_ok and chk.holds
+    ts = (0.5, 1.0, 2.0)
+    checks = decoupling_check(f, part, ts, mc)
+    rows = [[t, chk.lhs, chk.rhs, chk.rhs_stderr, int(chk.holds)] for t, chk in zip(ts, checks)]
+    all_ok = all(chk.holds for chk in checks)
     _emit(args, ["t", "lhs", "rhs", "rhs_stderr", "pass"], rows, {"all_pass": all_ok})
     return 0 if all_ok else 1
 
@@ -296,5 +296,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     return args.func(args)
 
 
+def _program() -> int:
+    """The command-line program: a library error prints one line to stderr and
+    returns 2, as a usage error does.  In-process callers of main get the exception."""
+    try:
+        return main()
+    except (DomainError, CapacityError) as exc:
+        print(f"cliquellt: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_program())

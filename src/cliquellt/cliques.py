@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import EmpiricalDistribution, LatticeSpec
 from .errors import CapacityError, DomainError
 from .ground import EdgeGround, GraphAssignment, binom, support_vertices
-from .pbf import PBFunction, _butterfly, popcount_array
+from .pbf import PBFunction, _butterfly, _mask, popcount_array
 
 EXACT_DISTRIBUTION_EDGE_CAP = 21
 
@@ -151,9 +151,11 @@ def weight_profile(spec: CliqueSpec) -> tuple[float, float]:
 
 
 def moments(spec: CliqueSpec) -> CliqueMoments:
-    w1, wtail = weight_profile(spec)
-    s2 = variance(spec)
-    return CliqueMoments(mean(spec), s2, math.sqrt(s2), w1, wtail)
+    """mean, variance and weight_profile, from one build of the variance numerator."""
+    num, edge, den = _variance_terms(spec)
+    w1 = _ratio(binom(spec.n, 2) * edge, num, f"degree-1 weight of {spec}")
+    s2 = _ratio(num, den, f"variance of {spec}")
+    return CliqueMoments(mean(spec), s2, math.sqrt(s2), w1, 1.0 - w1)
 
 
 # -- exact clique counting ------------------------------------------------
@@ -368,20 +370,20 @@ def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
 def fr_function(spec: CliqueSpec) -> PBFunction:
     """f_r as a sparse PBFunction, from the closed-form coefficients."""
     ground = spec.ground
-    coeffs = {frozenset(): mean(spec)}
+    coeffs = {0: mean(spec)}
     for t in range(2, spec.r + 1):
         for verts in combinations(range(1, spec.n + 1), t):
             all_edges = [ground.index(a, b) for a, b in combinations(verts, 2)]
             for msize in range(1, len(all_edges) + 1):
                 for S in combinations(all_edges, msize):
                     if len(support_vertices(ground, S)) == t:  # once, at its own support size
-                        coeffs[frozenset(S)] = fourier_coeff_fr(spec, S)
-    return PBFunction(ground, spec.p, coeffs)
+                        coeffs[_mask(S)] = fourier_coeff_fr(spec, S)
+    return PBFunction._from_masks(ground, spec.p, coeffs)
 
 
 def kappa_function(spec: CliqueSpec) -> PBFunction:
     """kappa = (f_r - mu)/sigma as a sparse PBFunction."""
     f = fr_function(spec)
     sigma = spec.sigma
-    coeffs = {S: c / sigma for S, c in f.coeffs.items() if S}
-    return PBFunction(f.ground, spec.p, coeffs)
+    coeffs = {S: c / sigma for S, c in f._coeffs.items() if S}
+    return PBFunction._from_masks(f.ground, spec.p, coeffs)

@@ -4,7 +4,7 @@ alternating-sum decoupling operator with its coefficient-level expansion."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
@@ -13,7 +13,7 @@ import numpy as np
 from .distributions import SERIAL_BLAS_ENTRIES, chf_sum
 from .errors import CapacityError, DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
-from .pbf import PBFunction, assignment_weights, chi_value
+from .pbf import PBFunction, _edges, _mask, assignment_weights, chi_value
 from .sampling import MCConfig
 
 INNER_ENUMERATION_EDGE_CAP = 20
@@ -26,27 +26,23 @@ class BlockPartition:
     ground: EdgeGround
     k: int
     block_of: tuple[int, ...]
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)  # edge mask of each block
 
     def __post_init__(self):
         if len(self.block_of) != self.ground.size:
             raise DomainError("block_of must assign every edge")
-        seen = [False] * (self.k + 1)
-        for b in self.block_of:
+        masks = [0] * (self.k + 1)
+        for e, b in enumerate(self.block_of):
             if not (0 <= b <= self.k):
                 raise DomainError(f"block id {b} out of range 0..{self.k}")
-            seen[b] = True
+            masks[b] |= 1 << e
         for i in range(1, self.k + 1):
-            if not seen[i]:
+            if not masks[i]:
                 raise DomainError(f"block B_{i} is empty")
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def block(self, i: int) -> frozenset[int]:
-        return frozenset(e for e, b in enumerate(self.block_of) if b == i)
-
-    def split(self, S: Iterable[int]) -> list[set[int]]:
-        parts: list[set[int]] = [set() for _ in range(self.k + 1)]
-        for e in S:
-            parts[self.block_of[e]].add(e)
-        return parts
+        return frozenset(_edges(self._masks[i]))
 
     def to_json_dict(self) -> dict:
         return {"n": self.ground.n, "k": self.k, "block_of": list(self.block_of)}
@@ -58,10 +54,8 @@ class BlockPartition:
 
 def is_rainbow(S: Iterable[int], part: BlockPartition) -> bool:
     """True iff S meets every block B_1..B_k (vacuously true for k=0)."""
-    hit = [False] * (part.k + 1)
-    for e in S:
-        hit[part.block_of[e]] = True
-    return all(hit[1:])
+    mask = _mask(S)
+    return all(mask & block for block in part._masks[1:])
 
 
 @dataclass(frozen=True)
@@ -94,11 +88,7 @@ class DoubledGround:
 
     def y_vars(self) -> list[int]:
         """Variables for the doubled copies, ascending."""
-        out = []
-        for e, b in enumerate(self.partition.block_of):
-            if b != 0:
-                out.extend((2 * e, 2 * e + 1))
-        return out
+        return [v for v in range(self.size) if self.partition.block_of[v // 2] != 0]
 
 
 def flatten(S: Iterable[int]) -> frozenset[int]:
@@ -147,22 +137,20 @@ def alpha_transform(f: PBFunction, part: BlockPartition) -> PBFunction:
     """
     if not isinstance(f.ground, EdgeGround) or f.ground != part.ground:
         raise GroundMismatchError("function and partition live on different grounds")
-    doubled = DoubledGround(part)
-    out: dict[frozenset[int], float] = {}
-    for S, c in f.coeffs.items():
-        parts = part.split(S)
-        if any(not parts[i] for i in range(1, part.k + 1)):
+    out: dict[int, float] = {}
+    for S, c in f._coeffs.items():
+        parts = [0] * (part.k + 1)  # copy 0 of the key's edges in each block: e -> 2e
+        for e in _edges(S):
+            parts[part.block_of[e]] |= 1 << 2 * e
+        if not all(parts[1:]):
             continue  # non-rainbow: alpha kills it
-        base = frozenset(2 * e for e in parts[0])
         for v in product((0, 1), repeat=part.k):
-            key = set(base)
-            for i in range(1, part.k + 1):
-                copy = v[i - 1]
-                key.update(2 * e + copy for e in parts[i])
+            key = parts[0]
+            for copy, part_i in zip(v, parts[1:]):
+                key |= part_i << copy
             sign = -1.0 if sum(v) % 2 else 1.0
-            fkey = frozenset(key)
-            out[fkey] = out.get(fkey, 0.0) + sign * c
-    return PBFunction(doubled, f.p, out)
+            out[key] = out.get(key, 0.0) + sign * c
+    return PBFunction._from_masks(DoubledGround(part), f.p, out)
 
 
 def alpha_restricted_coeffs(
@@ -171,7 +159,6 @@ def alpha_restricted_coeffs(
     y_bits: Mapping[int, tuple[int, int]],
 ) -> PBFunction:
     """alpha(f) with the doubled Y variables fixed: a function of X over B_0."""
-    doubled = DoubledGround(part)
     af = alpha_transform(f, part)
     beta = {}
     for e, (b0, b1) in y_bits.items():
@@ -179,8 +166,7 @@ def alpha_restricted_coeffs(
             raise DomainError(f"edge {e} is in B_0, not part of Y")
         beta[2 * e] = b0
         beta[2 * e + 1] = b1
-    keep = doubled.x_vars()
-    return af.restrict(keep, beta)
+    return af.restrict(af.ground.x_vars(), beta)
 
 
 def alpha_product_transform(
@@ -277,70 +263,67 @@ class DecouplingCheck:
 
 
 def decoupling_check(
-    f: PBFunction, part: BlockPartition, t: float, mc: MCConfig
-) -> DecouplingCheck:
-    """Both sides of |phi_f(t)|^{2^k} <= E_Y |E_X e^{it alpha(f)}|.
+    f: PBFunction, part: BlockPartition, ts: Sequence[float], mc: MCConfig
+) -> list[DecouplingCheck]:
+    """Both sides of |phi_f(t)|^{2^k} <= E_Y |E_X e^{it alpha(f)}|, one check per t in ts.
 
     The left side is exact (enumeration over the base ground); on the right the
     inner X-expectation is exact over B_0 and the outer Y-expectation is Monte
-    Carlo with deterministic worker substreams.
+    Carlo with deterministic worker substreams.  One alpha(f), one truth table
+    of f and one set of Y draws serve every t.
     """
-    lhs = abs(exact_chf(f, t)) ** (2**part.k)
-
-    doubled = DoubledGround(part)
-    af = alpha_transform(f, part)
-    x_vars = doubled.x_vars()
-    y_vars = doubled.y_vars()
+    af = alpha_transform(f, part)  # f must live on part's EdgeGround
+    x_vars = af.ground.x_vars()
     nx = len(x_vars)
-    if nx > INNER_ENUMERATION_EDGE_CAP:
-        raise CapacityError(f"inner enumeration capped at {INNER_ENUMERATION_EDGE_CAP} variables")
-    x_pos = {v: i for i, v in enumerate(x_vars)}
-    y_pos = {v: i for i, v in enumerate(y_vars)}
+    if max(part.ground.size, nx) > INNER_ENUMERATION_EDGE_CAP:
+        raise CapacityError(f"edges and inner variables capped at {INNER_ENUMERATION_EDGE_CAP}")
     p = f.p
+    table, weights = f.table(), assignment_weights(part.ground.size, p)
+    y_pos = {v: i for i, v in enumerate(af.ground.y_vars())}
+    x_mask = _mask(x_vars)
     c0, c1 = chi_value(p, 0), chi_value(p, 1)
 
-    # Split every key of alpha(f) into its X part (grouped) and Y part.
-    x_keys: dict[frozenset[int], int] = {}
+    # Split every key of alpha(f) into its X part (grouped) and Y part, ascending.
+    x_keys: dict[int, int] = {}
     key_rows = []  # (x_key_index, y_columns, coefficient)
-    for K, c in af.coeffs.items():
-        xk = frozenset(v for v in K if v in x_pos)
-        yk = [y_pos[v] for v in K if v in y_pos]
-        if xk not in x_keys:
-            x_keys[xk] = len(x_keys)
-        key_rows.append((x_keys[xk], yk, c))
-    ns = len(x_keys)
+    for K, c in af._coeffs.items():
+        row = x_keys.setdefault(K & x_mask, len(x_keys))
+        key_rows.append((row, [y_pos[v] for v in _edges(K & ~x_mask)], c))
 
     # chi_S(x) table over all X assignments, plus G(n,p) weights for X.
     x_bits = np.arange(1 << nx)
-    chi_cols = [np.where((x_bits >> i) & 1, c1, c0) for i in range(nx)]
-    chi_x = np.empty((ns, 1 << nx))
-    for xk, s_idx in x_keys.items():
-        prod = np.ones(1 << nx)
-        for v in xk:
-            prod *= chi_cols[x_pos[v]]
-        chi_x[s_idx] = prod
+    chi_cols = {v: np.where((x_bits >> i) & 1, c1, c0) for i, v in enumerate(x_vars)}
+    chi_x = np.ones((len(x_keys), 1 << nx))
+    for row, xk in zip(chi_x, x_keys):  # x_keys holds the X parts in row order
+        for v in _edges(xk):
+            row *= chi_cols[v]
     wx = assignment_weights(nx, p)
 
-    abs_vals: list[np.ndarray] = []
+    abs_vals: list[list[np.ndarray]] = [[] for _ in ts]
     for rng, quota in zip(mc.worker_rngs(), mc.worker_quotas()):
         done = 0
         while done < quota:
             q = min(8192, quota - done)
-            ybits = rng.random((q, len(y_vars))) < p
+            ybits = rng.random((q, len(y_pos))) < p
             ychi = np.where(ybits, c1, c0)
-            coefmat = np.zeros((q, ns))
+            coefmat = np.zeros((q, len(x_keys)))
             for s_idx, ycols, c in key_rows:
                 term = np.full(q, c)
                 for col in ycols:
                     term = term * ychi[:, col]
                 coefmat[:, s_idx] += term
             g_vals = coefmat @ chi_x  # (q, 2^nx)
-            abs_vals.append(np.abs(_inner_chf(g_vals, t, wx)))
+            for vals, t in zip(abs_vals, ts):
+                vals.append(np.abs(_inner_chf(g_vals, t, wx)))
             done += q
-    allvals = np.concatenate(abs_vals)
-    rhs = float(np.mean(allvals))
-    stderr = float(np.std(allvals, ddof=1) / math.sqrt(allvals.size)) if allvals.size > 1 else 0.0
-    return DecouplingCheck(lhs=lhs, rhs=rhs, rhs_stderr=stderr)
+    checks = []
+    for t, vals in zip(ts, abs_vals):
+        allvals = np.concatenate(vals)
+        lhs = abs(chf_sum(t, table, weights)) ** (2**part.k)
+        rhs = float(np.mean(allvals))
+        stderr = float(np.std(allvals, ddof=1) / math.sqrt(allvals.size)) if allvals.size > 1 else 0.0
+        checks.append(DecouplingCheck(lhs=lhs, rhs=rhs, rhs_stderr=stderr))
+    return checks
 
 
 def _inner_chf(g_vals: np.ndarray, t: float, wx: np.ndarray) -> np.ndarray:

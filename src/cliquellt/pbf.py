@@ -1,14 +1,15 @@
 """Exact algebra of real functions on the p-biased edge hypercube.
 
 Functions are stored in the orthonormal chi basis: chi_e = (x_e - p)/sqrt(p(1-p)),
-chi_S = prod_{e in S} chi_e.  Coefficients are a sparse map from frozensets of
-edge indices to reals; anything below PRUNE_TOL after arithmetic is dropped.
+chi_S = prod_{e in S} chi_e.  Coefficients are a sparse map from edge bitmasks
+to reals; anything below PRUNE_TOL after arithmetic is dropped.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
@@ -22,7 +23,28 @@ TRANSFORM_EDGE_CAP = 25
 BUTTERFLY_BLOCK_BYTES = 1 << 19  # one block of a butterfly pass stays in L2
 BUTTERFLY_LOW_EDGES = 5  # edges a block takes on its transposed copy
 
-Key = frozenset
+
+def _mask(edges: Iterable[int]) -> int:
+    """Edge mask of an edge set."""
+    return sum(1 << e for e in set(edges))
+
+
+def _edges(mask: int) -> list[int]:
+    """Edges of an edge mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1  # drops the lowest edge
+    return out
+
+
+class _ReadOnlyDict(dict):
+    """A dict whose writes raise TypeError: the ``coeffs`` view."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("PBFunction.coeffs is a read-only view")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
 
 def chi_value(p: float, bit: int) -> float:
@@ -42,59 +64,64 @@ def gamma_coeff(p: float) -> float:
 class PBFunction:
     """Real function on {0,1}^E in the p-biased Fourier basis, sparse over keys."""
 
-    __slots__ = ("ground", "p", "coeffs")
-
-    def __init__(self, ground, p: float, coeffs: Mapping[Key, float]):
+    def __init__(self, ground, p: float, coeffs: Mapping[Iterable[int], float]):
+        """``coeffs`` maps edge sets (iterables of edge indices) to reals."""
         if not (0.0 < p < 1.0):
             raise DomainError(f"p must lie in (0,1), got {p}")
         self.ground = ground
         self.p = float(p)
-        self.coeffs = {S: float(c) for S, c in coeffs.items() if abs(c) > PRUNE_TOL}
+        self._coeffs = {_mask(S): float(c) for S, c in coeffs.items() if abs(c) > PRUNE_TOL}
+
+    @classmethod
+    def _from_masks(cls, ground, p: float, coeffs: Mapping[int, float]) -> "PBFunction":
+        f = cls(ground, p, {})
+        f._coeffs = {S: float(c) for S, c in coeffs.items() if abs(c) > PRUNE_TOL}
+        return f
+
+    @cached_property
+    def coeffs(self) -> Mapping[frozenset[int], float]:
+        """Read-only frozenset-keyed view of the coefficients, in insertion order."""
+        return _ReadOnlyDict({frozenset(_edges(S)): c for S, c in self._coeffs.items()})
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, ground, p: float, c: float) -> "PBFunction":
-        return cls(ground, p, {frozenset(): c})
+        return cls._from_masks(ground, p, {0: c})
 
     @classmethod
     def chi(cls, ground, p: float, edges: Iterable[int]) -> "PBFunction":
-        return cls(ground, p, {frozenset(edges): 1.0})
-
-    @classmethod
-    def zero(cls, ground, p: float) -> "PBFunction":
-        return cls(ground, p, {})
+        return cls._from_masks(ground, p, {_mask(edges): 1.0})
 
     # -- basic queries ------------------------------------------------
 
     def coeff(self, edges: Iterable[int]) -> float:
-        return self.coeffs.get(frozenset(edges), 0.0)
+        return self._coeffs.get(_mask(edges), 0.0)
 
     def degree(self) -> int:
-        return max((len(S) for S in self.coeffs), default=0)
+        return max((S.bit_count() for S in self._coeffs), default=0)
 
     def expectation(self) -> float:
-        return self.coeffs.get(frozenset(), 0.0)
+        return self._coeffs.get(0, 0.0)
 
     def norm2(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coeffs.values()))
+        return math.sqrt(sum(c * c for c in self._coeffs.values()))
 
     def spectral_norm1(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values())
+        return sum(abs(c) for c in self._coeffs.values())
 
     def variance(self) -> float:
-        return sum(c * c for S, c in self.coeffs.items() if S)
+        return sum(c * c for S, c in self._coeffs.items() if S)
 
     # -- evaluation ---------------------------------------------------
 
     def eval(self, g: GraphAssignment | int) -> float:
         bits = g if isinstance(g, int) else self._check_assignment(g)
-        c0 = chi_value(self.p, 0)
-        c1 = chi_value(self.p, 1)
+        c0, c1 = chi_value(self.p, 0), chi_value(self.p, 1)
         total = 0.0
-        for S, c in self.coeffs.items():
+        for S, c in self._coeffs.items():
             term = c
-            for e in S:
+            for e in _edges(S):
                 term *= c1 if (bits >> e) & 1 else c0
             total += term
         return total
@@ -110,8 +137,7 @@ class PBFunction:
         if m > TRANSFORM_EDGE_CAP:
             raise CapacityError(f"truth table capped at {TRANSFORM_EDGE_CAP} edges, got {m}")
         v = np.zeros(1 << m)
-        for S, c in self.coeffs.items():
-            v[sum(1 << e for e in S)] = c
+        v[list(self._coeffs)] = list(self._coeffs.values())
         c0, c1 = chi_value(self.p, 0), chi_value(self.p, 1)
 
         def step(v0, v1, tmp):
@@ -138,20 +164,16 @@ class PBFunction:
 
     def __add__(self, other: "PBFunction") -> "PBFunction":
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for S, c in other.coeffs.items():
+        out = dict(self._coeffs)
+        for S, c in other._coeffs.items():
             out[S] = out.get(S, 0.0) + c
-        return PBFunction(self.ground, self.p, out)
+        return PBFunction._from_masks(self.ground, self.p, out)
 
     def __sub__(self, other: "PBFunction") -> "PBFunction":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for S, c in other.coeffs.items():
-            out[S] = out.get(S, 0.0) - c
-        return PBFunction(self.ground, self.p, out)
+        return self + other.scale(-1.0)  # x + (-y) is x - y, bit for bit
 
     def scale(self, a: float) -> "PBFunction":
-        return PBFunction(self.ground, self.p, {S: a * c for S, c in self.coeffs.items()})
+        return PBFunction._from_masks(self.ground, self.p, {S: a * c for S, c in self._coeffs.items()})
 
     def __rmul__(self, a: float) -> "PBFunction":
         if isinstance(a, (int, float)):
@@ -171,13 +193,15 @@ class PBFunction:
         """Keep exactly the keys with |S| = k."""
         if k < 0:
             raise DomainError("degree must be nonnegative")
-        return PBFunction(self.ground, self.p, {S: c for S, c in self.coeffs.items() if len(S) == k})
+        out = {S: c for S, c in self._coeffs.items() if S.bit_count() == k}
+        return PBFunction._from_masks(self.ground, self.p, out)
 
     def tail(self, k: int) -> "PBFunction":
         """Keep exactly the keys with |S| > k."""
         if k < 0:
             raise DomainError("degree must be nonnegative")
-        return PBFunction(self.ground, self.p, {S: c for S, c in self.coeffs.items() if len(S) > k})
+        out = {S: c for S, c in self._coeffs.items() if S.bit_count() > k}
+        return PBFunction._from_masks(self.ground, self.p, out)
 
     # -- restriction -----------------------------------------------------
 
@@ -187,20 +211,17 @@ class PBFunction:
         The result has keys inside ``keep`` only; evaluating it on an assignment
         that agrees with alpha on ``keep`` equals evaluating self on (alpha, beta).
         """
-        keep_set = frozenset(keep)
-        chi_beta = {}
-        for e, bit in beta.items():
-            chi_beta[e] = chi_value(self.p, bit)
-        out: dict[Key, float] = {}
-        for S, c in self.coeffs.items():
-            inside = S & keep_set
+        keep_mask = _mask(keep)
+        chi_beta = {e: chi_value(self.p, bit) for e, bit in beta.items()}
+        out: dict[int, float] = {}
+        for S, c in self._coeffs.items():
             factor = c
-            for e in S - keep_set:
+            for e in _edges(S & ~keep_mask):
                 if e not in chi_beta:
                     raise DomainError(f"restriction is missing a value for variable {e}")
                 factor *= chi_beta[e]
-            out[inside] = out.get(inside, 0.0) + factor
-        return PBFunction(self.ground, self.p, out)
+            out[S & keep_mask] = out.get(S & keep_mask, 0.0) + factor
+        return PBFunction._from_masks(self.ground, self.p, out)
 
     # -- serialization ----------------------------------------------------
 
@@ -211,8 +232,8 @@ class PBFunction:
             "n": self.ground.n,
             "p": self.p,
             "coeffs": [
-                {"edges": sorted(S), "value": c}
-                for S, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+                {"edges": _edges(S), "value": c}
+                for S, c in sorted(self._coeffs.items(), key=lambda kv: (kv[0].bit_count(), _edges(kv[0])))
             ],
         }
         return json.dumps(payload)
@@ -221,34 +242,34 @@ class PBFunction:
     def from_json(cls, text: str) -> "PBFunction":
         payload = json.loads(text)
         ground = EdgeGround(payload["n"])
-        coeffs = {frozenset(item["edges"]): item["value"] for item in payload["coeffs"]}
-        return cls(ground, payload["p"], coeffs)
+        coeffs = {_mask(item["edges"]): item["value"] for item in payload["coeffs"]}
+        return cls._from_masks(ground, payload["p"], coeffs)
 
     def __repr__(self) -> str:
-        return f"PBFunction(p={self.p}, terms={len(self.coeffs)}, degree={self.degree()})"
+        return f"PBFunction(p={self.p}, terms={len(self._coeffs)}, degree={self.degree()})"
 
 
 def multiply(f: PBFunction, g: PBFunction) -> PBFunction:
     """Pointwise product in the chi basis, via chi_e^2 = 1 + gamma*chi_e."""
     f._check_compatible(g)
     gamma = gamma_coeff(f.p)
-    out: dict[Key, float] = {}
-    for S, cs in f.coeffs.items():
-        for T, ct in g.coeffs.items():
+    out: dict[int, float] = {}
+    for S, cs in f._coeffs.items():
+        for T, ct in g._coeffs.items():
             base = cs * ct
             sym = S ^ T
-            inter = sorted(S & T)
-            if not inter or gamma == 0.0:
+            if not S & T or gamma == 0.0:
                 out[sym] = out.get(sym, 0.0) + base
                 continue
+            inter = [1 << e for e in _edges(S & T)]
             for k in range(len(inter) + 1):
                 gk = base * gamma**k
                 if gk == 0.0:
                     break
-                for U in combinations(inter, k):
-                    key = sym | frozenset(U)
+                for U in combinations(inter, k):  # by size, then lexicographic on edges
+                    key = sym | sum(U)
                     out[key] = out.get(key, 0.0) + gk
-    return PBFunction(f.ground, f.p, out)
+    return PBFunction._from_masks(f.ground, f.p, out)
 
 
 def assignment_weights(m: int, p: float) -> np.ndarray:
@@ -336,10 +357,5 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
 
     _butterfly(v, m, step)
 
-    coeffs: dict[Key, float] = {}
     nz = np.nonzero((v > PRUNE_TOL) | (v < -PRUNE_TOL))[0]
-    for mask in nz:
-        mask = int(mask)
-        key = frozenset(i for i in range(m) if (mask >> i) & 1)
-        coeffs[key] = float(v[mask])
-    return PBFunction(ground, p, coeffs)
+    return PBFunction._from_masks(ground, p, dict(zip(nz.tolist(), v[nz].tolist())))

@@ -168,8 +168,8 @@ def test_hyperconc_tail_far_thresholds_do_not_overflow():
         hyperconc_tail(HypParams(d=1, lam=0.5), 1.0, math.nan)
 
 
-finite = st.floats(-1e300, 1e300)
-nonneg = st.floats(0.0, 1e300)
+real_or_nan = st.floats(-1e300, 1e300) | st.just(math.nan)
+nonneg_or_nan = st.floats(0.0, 1e300) | st.just(math.nan)
 unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 lam = st.floats(0.0, 0.5, exclude_min=True)
 
@@ -187,15 +187,15 @@ def _finite_inf_or_domain_error(call):
 @given(
     n=st.integers(0, 10**7),
     p=unit,
-    t=finite,
+    t=real_or_nan,
     t_share=st.floats(0.0, 1.0),
     variant=st.sampled_from(["Y", "x", "chi"]),
     d=st.integers(1, 2000),
     lam=lam,
-    norm2=nonneg,
-    q=st.floats(0.0, 1e6),
+    norm2=nonneg_or_nan,
+    q=st.floats(0.0, 1e6) | st.just(math.nan),
     ell=st.integers(1, 300),
-    params=st.tuples(nonneg, nonneg, nonneg, nonneg),
+    params=st.tuples(nonneg_or_nan, nonneg_or_nan, nonneg_or_nan, nonneg_or_nan),
 )
 def test_bounds_return_a_float_or_a_domain_error(
     n, p, t, t_share, variant, d, lam, norm2, q, ell, params
@@ -210,8 +210,8 @@ def test_bounds_return_a_float_or_a_domain_error(
         _finite_inf_or_domain_error(lambda: berry_esseen_gap(n, p, inside))
     _finite_inf_or_domain_error(lambda: hyperconc_tail(hp, norm2, t))
     _finite_inf_or_domain_error(lambda: hyperconc_moment(hp, norm2, q))
-    bp = BoundParams(ell, d % 8 + 1, t * t_share, *params, lam)  # T, delta, eta, spectral1
-    _finite_inf_or_domain_error(lambda: mainchf_bound(bp))
+    # params: T, delta, eta, spectral1
+    _finite_inf_or_domain_error(lambda: mainchf_bound(BoundParams(ell, d % 8 + 1, t * t_share, *params, lam)))
 
 
 def make_mainchf_instance(p=0.5, ell=2):

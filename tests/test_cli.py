@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliquellt
 from cliquellt.cli import main
 
 
@@ -133,3 +138,16 @@ def test_flag_beats_env(capsys, monkeypatch):
     assert code == 0
     config, _, _ = parse_csv(out)
     assert config["n"] == "4"
+
+
+@pytest.mark.parametrize("argv", [["--n", "2", "--r", "3"], ["--n", "400", "--r", "60"]])
+def test_library_error_is_one_line_on_stderr_and_exit_2(argv):
+    # sigma = 0 at n < r; the weights pass the float range at (400, 60)
+    env = dict(os.environ, PYTHONPATH=str(Path(cliquellt.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "cliquellt.cli", "moments", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("cliquellt: error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr

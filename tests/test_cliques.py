@@ -26,6 +26,7 @@ from cliquellt import (
     variance,
     weight_profile,
 )
+from cliquellt import cliques
 from cliquellt.cliques import (
     _variance_terms,
     clique_edge_masks,
@@ -429,6 +430,21 @@ def test_moments_bundle():
     assert mom.sigma2 == pytest.approx(0.625)
     assert mom.sigma == pytest.approx(math.sqrt(0.625))
     assert mom.weight_deg1 + mom.weight_tail == pytest.approx(1.0)
+
+
+def test_moments_builds_the_variance_numerator_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return _variance_terms(spec)
+
+    monkeypatch.setattr(cliques, "_variance_terms", counted)
+    for spec in (CliqueSpec(n=7, r=3, p=0.3), CliqueSpec(n=60, r=12, p=0.3)):
+        calls.clear()
+        mom = moments(spec)
+        assert calls == [spec]
+        assert (mom.sigma2, mom.weight_deg1, mom.weight_tail) == (variance(spec), *weight_profile(spec))
 
 
 def test_mc_mean_agreement():

@@ -92,7 +92,7 @@ def test_partition_validation():
         BlockPartition(ground, 1, (0, 1, 2, 0, 0, 0))  # block id out of range
     part = BlockPartition(ground, 1, (0, 1, 0, 1, 0, 0))
     assert part.block(1) == {1, 3}
-    assert part.split([0, 1, 2]) == [{0, 2}, {1}]
+    assert part._masks == (0b110101, 0b001010)
 
 
 def test_is_rainbow():
@@ -360,8 +360,7 @@ def test_decoupling_check_golden_bits():
     for (p, seed, samples, workers), rows in golden.items():
         f = fr_function(CliqueSpec(n=5, r=3, p=p))
         mc = MCConfig(seed=seed, samples=samples, workers=workers)
-        for t, (rhs, stderr) in zip((0.5, 1.0, 2.0), rows):
-            chk = decoupling_check(f, part, t, mc)
+        for chk, (rhs, stderr) in zip(decoupling_check(f, part, (0.5, 1.0, 2.0), mc), rows, strict=True):
             assert chk.rhs == float.fromhex(rhs)
             assert chk.rhs_stderr == float.fromhex(stderr)
 
@@ -371,8 +370,7 @@ def test_decoupling_check_holds():
     f = fr_function(spec)
     part = bisection_partition(4)
     mc = MCConfig(seed=42, samples=2000, workers=2)
-    for t in (0.0, 0.5, 1.5):
-        chk = decoupling_check(f, part, t, mc)
+    for t, chk in zip((0.0, 0.5, 1.5), decoupling_check(f, part, (0.0, 0.5, 1.5), mc)):
         assert chk.holds
         if t == 0.0:
             assert chk.lhs == pytest.approx(1.0)
@@ -384,9 +382,11 @@ def test_decoupling_check_deterministic():
     f = fr_function(spec)
     part = bisection_partition(4)
     mc = MCConfig(seed=7, samples=500, workers=3)
-    a = decoupling_check(f, part, 1.0, mc)
-    b = decoupling_check(f, part, 1.0, mc)
-    assert a.rhs == b.rhs and a.rhs_stderr == b.rhs_stderr
+    a = decoupling_check(f, part, (1.0, 2.0), mc)
+    b = decoupling_check(f, part, (1.0, 2.0), mc)
+    assert a == b
+    # every t sees the same Y draws, as in a call of its own
+    assert a == decoupling_check(f, part, (1.0,), mc) + decoupling_check(f, part, (2.0,), mc)
 
 
 @pytest.mark.parametrize("cols", [8, 64, 4096])

@@ -431,6 +431,25 @@ COEFFICIENT_DIGESTS = {  # sha256 prefix of each output's (sorted key, value) li
 }
 
 
+def test_coeffs_is_a_read_only_dict_built_once():
+    f = fr_function(CliqueSpec(4, 3, 0.3))
+    view = f.coeffs
+    assert isinstance(view, dict) and f.coeffs is view
+    for write in (
+        lambda: view.__setitem__(frozenset(), 1.0),
+        lambda: view.__delitem__(frozenset()),
+        lambda: view.update({}),
+        lambda: view.pop(frozenset()),
+        lambda: view.popitem(),
+        lambda: view.setdefault(frozenset([0]), 1.0),
+        lambda: view.clear(),
+        lambda: view.__ior__({}),
+    ):
+        with pytest.raises(TypeError):
+            write()
+    assert f.coeff([]) == view[frozenset()] == f.expectation()
+
+
 def test_coefficient_bits_keys_and_order_are_pinned():
     # each key as its sorted edge list: a frozenset pickles its elements in
     # hash-table order, which depends on how the set was built
