@@ -382,8 +382,10 @@ def fr_function(spec: CliqueSpec) -> PBFunction:
 
 
 def kappa_function(spec: CliqueSpec) -> PBFunction:
-    """kappa = (f_r - mu)/sigma as a sparse PBFunction."""
-    f = fr_function(spec)
+    """kappa = (f_r - mu)/sigma as a sparse PBFunction; DomainError when sigma = 0 (n < r)."""
     sigma = spec.sigma
+    if not sigma > 0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    f = fr_function(spec)
     coeffs = {S: c / sigma for S, c in f._coeffs.items() if S}
     return PBFunction._from_masks(f.ground, spec.p, coeffs)

@@ -269,7 +269,7 @@ def decoupling_check(
 
     The left side is exact (enumeration over the base ground); on the right the
     inner X-expectation is exact over B_0 and the outer Y-expectation is Monte
-    Carlo with deterministic worker substreams.  One alpha(f), one truth table
+    Carlo over the Y rows of ``mc.edge_draws``.  One alpha(f), one truth table
     of f and one set of Y draws serve every t.
     """
     af = alpha_transform(f, part)  # f must live on part's EdgeGround
@@ -300,22 +300,18 @@ def decoupling_check(
     wx = assignment_weights(nx, p)
 
     abs_vals: list[list[np.ndarray]] = [[] for _ in ts]
-    for rng, quota in zip(mc.worker_rngs(), mc.worker_quotas()):
-        done = 0
-        while done < quota:
-            q = min(8192, quota - done)
-            ybits = rng.random((q, len(y_pos))) < p
-            ychi = np.where(ybits, c1, c0)
-            coefmat = np.zeros((q, len(x_keys)))
-            for s_idx, ycols, c in key_rows:
-                term = np.full(q, c)
-                for col in ycols:
-                    term = term * ychi[:, col]
-                coefmat[:, s_idx] += term
-            g_vals = coefmat @ chi_x  # (q, 2^nx)
-            for vals, t in zip(abs_vals, ts):
-                vals.append(np.abs(_inner_chf(g_vals, t, wx)))
-            done += q
+    for ybits in mc.edge_draws(len(y_pos), p):
+        q = ybits.shape[0]
+        ychi = np.where(ybits, c1, c0)
+        coefmat = np.zeros((q, len(x_keys)))
+        for s_idx, ycols, c in key_rows:
+            term = np.full(q, c)
+            for col in ycols:
+                term = term * ychi[:, col]
+            coefmat[:, s_idx] += term
+        g_vals = coefmat @ chi_x  # (q, 2^nx)
+        for vals, t in zip(abs_vals, ts):
+            vals.append(np.abs(_inner_chf(g_vals, t, wx)))
     checks = []
     for t, vals in zip(ts, abs_vals):
         allvals = np.concatenate(vals)

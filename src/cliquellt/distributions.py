@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DomainError, LatticeMismatchError
 
 LATTICE_TOL = 1e-9
+INVERSION_TOL = 1e-9  # lattice_inversion stops once a doubling moves its result by less
 GAUSSIAN_TRUNCATION_SIGMAS = 12.0
 CHF_BLOCK = 1 << 16  # (t, x) phases per block of phase_blocks
 # Entries one BLAS reduction may take.  OpenBLAS 0.3.31 ran a one-row real
@@ -32,8 +33,10 @@ class LatticeSpec:
     h: float
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise DomainError(f"lattice step must be positive, got {self.h}")
+        if not (0 < self.h < math.inf):
+            raise DomainError(f"lattice step must be positive and finite, got {self.h}")
+        if not math.isfinite(self.b):
+            raise DomainError(f"lattice origin must be finite, got {self.b}")
 
     def contains(self, x: float) -> bool:
         q = (x - self.b) / self.h
@@ -83,8 +86,10 @@ class EmpiricalDistribution:
         return dist
 
     def _store(self, lattice: LatticeSpec, k: np.ndarray, masses: np.ndarray) -> None:
-        if (masses < 0).any():
-            raise DomainError(f"negative mass {masses.min()} at {lattice.point(k[masses.argmin()])}")
+        bad = ~((masses >= 0) & (masses < math.inf))
+        if bad.any():
+            i = bad.argmax()
+            raise DomainError(f"mass {masses[i]} at {lattice.point(k[i])} is not a finite nonnegative number")
         self.lattice = lattice
         self.k, slot = np.unique(k, return_inverse=True)
         self.masses = np.bincount(slot, weights=masses, minlength=self.k.size)
@@ -163,8 +168,10 @@ def discrete_gaussian(lattice: LatticeSpec, mu: float, sigma: float) -> Empirica
 
     Not renormalized; total() reports the Riemann-sum deviation from 1.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise DomainError(f"mu and sigma must be finite, got mu={mu}, sigma={sigma}")
     h = lattice.h
     lo = math.floor((mu - GAUSSIAN_TRUNCATION_SIGMAS * sigma - lattice.b) / h)
     hi = math.ceil((mu + GAUSSIAN_TRUNCATION_SIGMAS * sigma - lattice.b) / h)
@@ -202,7 +209,6 @@ def lattice_inversion(
     lattice: LatticeSpec,
     x: float,
     *,
-    tol: float = 1e-9,
     freq_hint: float | None = None,
 ) -> float:
     """P(X = x) = (h/2pi) * integral_{-pi/h}^{pi/h} e^{-itx} phi(t) dt.
@@ -212,8 +218,8 @@ def lattice_inversion(
     mean over n equispaced points is exact once n exceeds the support's span
     in steps.  n starts at >= 32 points per unit period of the fastest known
     oscillation and doubles, evaluating only the new midpoints, until the
-    result is stable to tol.  ``freq_hint`` may give the largest |value - x|
-    in the support if known.
+    result is stable to INVERSION_TOL.  ``freq_hint`` may give the largest
+    |value - x| in the support if known.
     """
     lattice.index(x)  # raises DomainError off the lattice
     h = lattice.h
@@ -235,7 +241,7 @@ def lattice_inversion(
         total += grid_sum(0.5, n)
         n *= 2
         cur = total / n
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < INVERSION_TOL:
             return cur
         prev = cur
     return prev

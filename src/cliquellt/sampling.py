@@ -1,11 +1,10 @@
 """Seeded G(n,p) sampling, Monte Carlo clique counts, and empirical
-characteristic functions with deterministic parallel substreams."""
+characteristic functions, drawn from deterministic per-worker substreams."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -13,6 +12,11 @@ from .cliques import CliqueSpec, count_cliques_batch
 from .distributions import EmpiricalDistribution, LatticeSpec, chf_sum, phase_blocks
 from .errors import DomainError
 from .ground import EdgeGround, GraphAssignment
+
+
+# edge draws per chunk of MCConfig.edge_draws: a 1 MB block of doubles, so a
+# chunk's buffers stay within a typical per-core L2 cache whatever the width
+CHUNK_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,26 @@ class MCConfig:
         base, extra = divmod(self.samples, self.workers)
         return [base + (1 if w < extra else 0) for w in range(self.workers)]
 
+    def edge_draws(self, width: int, p: float) -> Iterator[np.ndarray]:
+        """Each sample's row of ``width`` Bernoulli(p) draws, in (worker, sample) order.
+
+        Rows come in (rows, width) bool chunks of about CHUNK_DRAWS draws.
+        Every chunk is drawn into the same two buffers, so memory stays a few
+        cache-sized blocks, and a chunk is valid only until the next one is
+        requested.  The uniforms fill each row in the same order whatever the
+        chunk height, so no row depends on it.
+        """
+        quotas = self.worker_quotas()
+        rows = max(1, CHUNK_DRAWS // max(width, 1))
+        draws = np.empty((min(rows, max(quotas)), width))
+        edges = np.empty(draws.shape, dtype=bool)
+        for rng, quota in zip(self.worker_rngs(), quotas):
+            for done in range(0, quota, rows):
+                size = min(rows, quota - done)
+                rng.random(out=draws[:size])
+                np.less(draws[:size], p, out=edges[:size])
+                yield edges[:size]
+
     def doubled(self) -> "MCConfig":
         """Twice the samples, drawn from the next stream: independent of this run."""
         return replace(self, samples=2 * self.samples, stream=self.stream + 1)
@@ -69,54 +93,23 @@ def sample_gnp(n: int, p: float, rng: np.random.Generator) -> GraphAssignment:
     return GraphAssignment(ground, bits)
 
 
-# edge draws per kernel call by default: a 1 MB block of doubles, so a chunk's
-# buffers stay within a typical per-core L2 cache whatever n is
-CHUNK_DRAWS = 1 << 17
-
-
-def sample_clique_counts(spec: CliqueSpec, mc: MCConfig, *, chunk: int | None = None) -> np.ndarray:
+def sample_clique_counts(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
     """Monte Carlo clique counts: i.i.d. G(n,p) draws, one count per sample.
 
-    Work is split across deterministic per-worker substreams spawned from the
-    seed; output order is (worker, sample-within-worker), independent of timing
-    and of ``chunk``, the samples per kernel call (default: as many as fit in
-    CHUNK_DRAWS edge draws).  A substream draws every chunk into the same two
-    buffers, so its memory stays a few cache-sized blocks instead of fresh
-    pages per chunk.  The substreams run on min(workers, cpu_count - 1)
-    threads, inline when that is at most 1: a pool that needs every cpu runs
-    at the pace of the busiest, and on a 2-cpu host one other busy process
-    cut a 2-thread run's rate by 40% while an inline run kept its rate.  The
-    numpy kernels release the GIL.
+    One count_cliques_batch call per chunk of ``mc.edge_draws``; output order
+    is (worker, sample-within-worker).
     """
-    m = EdgeGround(spec.n).size
-    if chunk is None:
-        chunk = max(1, CHUNK_DRAWS // m)
-    if chunk < 1:
-        raise DomainError("chunk must be positive")
-
-    def substream(rng: np.random.Generator, quota: int) -> np.ndarray:
-        draws = np.empty((min(chunk, quota), m))
-        edges = np.empty(draws.shape, dtype=bool)
-        out = [np.zeros(0, dtype=np.int64)]
-        for done in range(0, quota, chunk):
-            size = min(chunk, quota - done)
-            rng.random(out=draws[:size])
-            np.less(draws[:size], spec.p, out=edges[:size])
-            out.append(count_cliques_batch(edges[:size], spec.n, spec.r))
-        return np.concatenate(out)
-
-    jobs = list(zip(mc.worker_rngs(), mc.worker_quotas()))
-    threads = min(mc.workers, (os.cpu_count() or 1) - 1)
-    if threads <= 1:
-        return np.concatenate([substream(rng, quota) for rng, quota in jobs])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(lambda job: substream(*job), jobs)))
+    chunks = mc.edge_draws(spec.ground.size, spec.p)
+    return np.concatenate([count_cliques_batch(edges, spec.n, spec.r) for edges in chunks])
 
 
 def sample_kappa(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
-    """Samples of kappa = (f_r - mu)/sigma."""
+    """Samples of kappa = (f_r - mu)/sigma; DomainError, before any draw, when sigma = 0 (n < r)."""
+    sigma = spec.sigma
+    if not sigma > 0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
     counts = sample_clique_counts(spec, mc)
-    return (counts - spec.mu) / spec.sigma
+    return (counts - spec.mu) / sigma
 
 
 def empirical_chf(values: np.ndarray, t: float) -> ChfEstimate:

@@ -140,13 +140,20 @@ def test_flag_beats_env(capsys, monkeypatch):
     assert config["n"] == "4"
 
 
-@pytest.mark.parametrize("argv", [["--n", "2", "--r", "3"], ["--n", "400", "--r", "60"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--n", "2", "--r", "3"],
+        ["moments", "--n", "400", "--r", "60"],
+        ["chf-scan", "--n", "1", "--r", "3"],
+        ["chf-scan", "--n", "2", "--r", "3"],
+    ],
+)
 def test_library_error_is_one_line_on_stderr_and_exit_2(argv):
-    # sigma = 0 at n < r; the weights pass the float range at (400, 60)
+    # sigma = 0 at n < r, also with no edges at all (n = 1); the weights pass
+    # the float range at (400, 60)
     env = dict(os.environ, PYTHONPATH=str(Path(cliquellt.__file__).resolve().parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-m", "cliquellt.cli", "moments", *argv], env=env, capture_output=True, text=True, timeout=120
-    )
+    run = subprocess.run([sys.executable, "-m", "cliquellt.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr.startswith("cliquellt: error: ") and run.stderr.count("\n") == 1

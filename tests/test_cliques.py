@@ -344,6 +344,8 @@ def test_kappa_normalization():
     assert kap.norm2() == pytest.approx(1.0, abs=1e-10)
     assert kap.coeff([]) == 0.0
     assert kap.coeff([0]) == pytest.approx(fourier_coeff_fr(spec, [0]) / spec.sigma)
+    with pytest.raises(DomainError):  # sigma = 0 at n < r: no zero function
+        kappa_function(CliqueSpec(n=2, r=3, p=0.4))
 
 
 def test_weight_profile():

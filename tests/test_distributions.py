@@ -29,8 +29,9 @@ def test_lattice_basics():
     assert lat.point(2) == 1.0
     assert lat.compatible(LatticeSpec(0.25, 0.25))
     assert not lat.compatible(LatticeSpec(0.5, 0.5))
-    with pytest.raises(DomainError):
-        LatticeSpec(0.0, 0.0)
+    for b, h in ((0.0, 0.0), (0.0, math.nan), (0.0, math.inf), (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            LatticeSpec(b, h)
 
 
 def test_distribution_moments_and_prob():
@@ -41,6 +42,11 @@ def test_distribution_moments_and_prob():
     assert d.variance() == pytest.approx(0.5)
     assert d.prob(1.0) == 0.5
     assert d.prob(0.5) == 0.0
+    for bad in (math.nan, math.inf, -0.25):
+        with pytest.raises(DomainError):
+            EmpiricalDistribution(lat, {0.0: bad})
+        with pytest.raises(DomainError):
+            EmpiricalDistribution.from_indices(lat, [0, 1], [0.5, bad])
 
 
 def test_distribution_chf_properties():
@@ -82,6 +88,9 @@ def test_discrete_gaussian_mass_and_symmetry():
     # not renormalized: coarse lattice total deviates visibly from 1
     coarse = discrete_gaussian(LatticeSpec(0.5, 1.0), 0.0, 0.3)
     assert abs(coarse.total() - 1.0) > 1e-4
+    for mu, sigma in ((math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0), (0.0, math.inf), (0.0, 0.0)):
+        with pytest.raises(DomainError):
+            discrete_gaussian(lat, mu, sigma)
 
 
 def test_discrete_gaussian_matches_density():

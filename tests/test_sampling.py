@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -85,38 +84,44 @@ def test_clique_counts_r3_matches_general_path():
         assert counts.any()
 
 
-def test_clique_counts_same_for_any_thread_count_and_chunk(monkeypatch):
-    from cliquellt import sampling
+def test_draws_same_for_any_chunk_height(monkeypatch):
+    from cliquellt import build_color_partition, decoupling_check, fr_function, sampling
 
-    pools = []
+    def chunk_rows(rows, width):
+        monkeypatch.setattr(sampling, "CHUNK_DRAWS", rows * width)
 
-    class SpyPool(sampling.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(sampling, "ThreadPoolExecutor", SpyPool)
     for r in (3, 4):
         spec = CliqueSpec(n=11, r=r, p=0.5)
         for workers in (1, 2, 3, 4):
             mc = MCConfig(seed=17, samples=301, workers=workers)
+            monkeypatch.undo()
             ref = sample_clique_counts(spec, mc)
-            assert ref.shape == (301,)
-            assert np.array_equal(ref, sample_clique_counts(spec, mc, chunk=7))
-            # one cpu is left to the rest of the host: no pool below 3 cpus
-            for cpus in (1, 2, 4):
-                del pools[:]
-                with monkeypatch.context() as host:
-                    host.setattr(os, "cpu_count", lambda: cpus)
-                    assert np.array_equal(ref, sample_clique_counts(spec, mc, chunk=64))
-                threads = min(workers, cpus - 1)
-                assert pools == ([threads] if threads > 1 else [])
+            assert ref.shape == (301,) and ref.dtype == np.int64
+            for rows in (1, 7, 64):
+                chunk_rows(rows, 55)
+                assert max(len(edges) for edges in mc.edge_draws(55, 0.5)) == rows
+                assert np.array_equal(ref, sample_clique_counts(spec, mc))
     # more workers than samples: the idle substreams contribute nothing
     few = MCConfig(seed=17, samples=3, workers=4)
-    assert np.array_equal(sample_clique_counts(spec, few), sample_clique_counts(spec, few, chunk=1))
-    assert sample_clique_counts(spec, few).shape == (3,)
-    with pytest.raises(DomainError):
-        sample_clique_counts(spec, MCConfig(seed=0, samples=5), chunk=0)
+    monkeypatch.undo()
+    ref = sample_clique_counts(spec, few)
+    assert ref.shape == (3,)
+    chunk_rows(1, 55)
+    assert np.array_equal(ref, sample_clique_counts(spec, few))
+    # a zero-width row (n = 1) has no edges to draw and no cliques
+    zeros = sample_clique_counts(CliqueSpec(1, 3, 0.5), MCConfig(0, 5))
+    assert zeros.dtype == np.int64 and zeros.tolist() == [0] * 5
+    # decoupling's Y rows on the golden configs (14 Y variables); a one-row
+    # chunk would take another BLAS kernel in the inner chf, so none is tried
+    part = build_color_partition(5, 1, [3, 2])
+    for p, seed, samples, workers in ((0.5, 1, 2000, 1), (0.3, 4, 3000, 2)):
+        f = fr_function(CliqueSpec(n=5, r=3, p=p))
+        mc = MCConfig(seed=seed, samples=samples, workers=workers)
+        monkeypatch.undo()
+        ref = decoupling_check(f, part, (0.5, 1.0, 2.0), mc)
+        for rows in (2, 7, 1000):
+            chunk_rows(rows, 14)
+            assert decoupling_check(f, part, (0.5, 1.0, 2.0), mc) == ref
 
 
 def test_doubled_run_shares_no_leading_draws():
