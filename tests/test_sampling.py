@@ -87,27 +87,25 @@ def test_clique_counts_r3_matches_general_path():
 def test_draws_same_for_any_chunk_height(monkeypatch):
     from cliquellt import build_color_partition, decoupling_check, fr_function, sampling
 
-    def chunk_rows(rows, width):
-        monkeypatch.setattr(sampling, "CHUNK_DRAWS", rows * width)
+    def with_rows(rows, width, call):
+        with monkeypatch.context() as m:
+            m.setattr(sampling, "CHUNK_DRAWS", rows * width)
+            return call()
 
     for r in (3, 4):
         spec = CliqueSpec(n=11, r=r, p=0.5)
         for workers in (1, 2, 3, 4):
             mc = MCConfig(seed=17, samples=301, workers=workers)
-            monkeypatch.undo()
             ref = sample_clique_counts(spec, mc)
             assert ref.shape == (301,) and ref.dtype == np.int64
             for rows in (1, 7, 64):
-                chunk_rows(rows, 55)
-                assert max(len(edges) for edges in mc.edge_draws(55, 0.5)) == rows
-                assert np.array_equal(ref, sample_clique_counts(spec, mc))
+                assert with_rows(rows, 55, lambda: max(len(edges) for edges in mc.edge_draws(55, 0.5))) == rows
+                assert np.array_equal(ref, with_rows(rows, 55, lambda: sample_clique_counts(spec, mc)))
     # more workers than samples: the idle substreams contribute nothing
     few = MCConfig(seed=17, samples=3, workers=4)
-    monkeypatch.undo()
     ref = sample_clique_counts(spec, few)
     assert ref.shape == (3,)
-    chunk_rows(1, 55)
-    assert np.array_equal(ref, sample_clique_counts(spec, few))
+    assert np.array_equal(ref, with_rows(1, 55, lambda: sample_clique_counts(spec, few)))
     # a zero-width row (n = 1) has no edges to draw and no cliques
     zeros = sample_clique_counts(CliqueSpec(1, 3, 0.5), MCConfig(0, 5))
     assert zeros.dtype == np.int64 and zeros.tolist() == [0] * 5
@@ -117,11 +115,9 @@ def test_draws_same_for_any_chunk_height(monkeypatch):
     for p, seed, samples, workers in ((0.5, 1, 2000, 1), (0.3, 4, 3000, 2)):
         f = fr_function(CliqueSpec(n=5, r=3, p=p))
         mc = MCConfig(seed=seed, samples=samples, workers=workers)
-        monkeypatch.undo()
         ref = decoupling_check(f, part, (0.5, 1.0, 2.0), mc)
         for rows in (2, 7, 1000):
-            chunk_rows(rows, 14)
-            assert decoupling_check(f, part, (0.5, 1.0, 2.0), mc) == ref
+            assert with_rows(rows, 14, lambda: decoupling_check(f, part, (0.5, 1.0, 2.0), mc)) == ref
 
 
 def test_doubled_run_shares_no_leading_draws():
