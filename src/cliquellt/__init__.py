@@ -52,15 +52,13 @@ from .distributions import (
     linf_distance,
 )
 from .errors import CapacityError, DomainError, GroundMismatchError, LatticeMismatchError
-from .ground import EdgeGround, EdgeSet, GraphAssignment, support_vertices
+from .ground import EdgeGround, GraphAssignment, support_vertices
 from .pbf import PBFunction, chi_value, fourier_transform, multiply
 from .sampling import (
     ChfEstimate,
     MCConfig,
-    empirical_chf,
     empirical_chf_grid,
     empirical_distribution,
     sample_clique_counts,
-    sample_gnp,
     sample_kappa,
 )

@@ -1,7 +1,5 @@
 """Experiment CLI: reproducible, seeded runs emitting plot-ready CSV/JSON.
 
-Every flag can also be set through an environment variable with the
-``CLIQUELLT_`` prefix (dashes become underscores), e.g. ``CLIQUELLT_SEED=7``.
 Exit code is 0 iff every asserted inequality passed, 1 if one failed and 2
 for bad arguments or a library error (one line on stderr).
 """
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -29,13 +26,12 @@ from .bounds import (
     hyperconc_tail,
     mainchf_bound,
 )
-from .cliques import CliqueSpec, exact_distribution, moments
-from .cliques import EXACT_DISTRIBUTION_EDGE_CAP, fr_function
+from .cliques import CliqueSpec, exact_distribution, fr_function, kappa_function, moments
 from .decoupling import build_color_partition, decoupling_check, exact_chf
 from .distributions import LatticeSpec, discrete_gaussian, l1_distance, linf_distance
 from .errors import CapacityError, DomainError
 from .ground import binom
-from .pbf import assignment_weights
+from .pbf import TABLE_EDGE_CAP, assignment_weights
 from .sampling import (
     MCConfig,
     empirical_chf_grid,
@@ -44,35 +40,20 @@ from .sampling import (
     sample_kappa,
 )
 
-ENV_PREFIX = "CLIQUELLT_"
-
-
-def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    if isinstance(fallback, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(fallback, int):
-        return int(raw)
-    if isinstance(fallback, float):
-        return float(raw)
-    return raw
-
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=_env_default("n", 6))
-    p.add_argument("--r", type=int, default=_env_default("r", 3))
-    p.add_argument("--p", type=float, dest="prob", default=_env_default("p", 0.5))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
-    p.add_argument("--samples", type=int, default=_env_default("samples", 10000))
-    p.add_argument("--workers", type=int, default=_env_default("workers", 1))
-    p.add_argument("--t-min", type=float, default=_env_default("t-min", 0.0))
-    p.add_argument("--t-max", type=float, default=_env_default("t-max", 3.0))
-    p.add_argument("--t-steps", type=int, default=_env_default("t-steps", 13))
-    p.add_argument("--out", type=str, default=_env_default("out", ""))
-    p.add_argument("--format", choices=("csv", "json"), default=_env_default("format", "csv"))
-    p.add_argument("--self-check", action="store_true", default=_env_default("self-check", False))
+    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--p", type=float, dest="prob", default=0.5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--t-min", type=float, default=0.0)
+    p.add_argument("--t-max", type=float, default=3.0)
+    p.add_argument("--t-steps", type=int, default=13)
+    p.add_argument("--out", type=str, default="")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--self-check", action="store_true")
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -127,7 +108,7 @@ def cmd_moments(args) -> int:
     ]
     extra = {}
     ok = True
-    if binom(spec.n, 2) <= EXACT_DISTRIBUTION_EDGE_CAP:
+    if binom(spec.n, 2) <= TABLE_EDGE_CAP:
         dist = exact_distribution(spec)
         enum_mu, enum_sigma2 = dist.mean(), dist.variance()
         extra["enum_mu"] = f"{enum_mu:.17g}"
@@ -161,7 +142,7 @@ def cmd_llt_verify(args) -> int:
     for n in range(5, args.n + 1):
         m = binom(n, 2)
         spec = CliqueSpec(n=n, r=args.r, p=args.prob)
-        if m <= EXACT_DISTRIBUTION_EDGE_CAP:
+        if m <= TABLE_EDGE_CAP:
             dist = exact_distribution(spec)
         else:
             mc = MCConfig(seed=args.seed, samples=args.samples, workers=args.workers)
@@ -170,7 +151,7 @@ def cmd_llt_verify(args) -> int:
         linf = linf_distance(dist, gauss)
         l1 = l1_distance(dist, gauss)
         rows.append([n, linf, l1, spec.sigma])
-        if m <= EXACT_DISTRIBUTION_EDGE_CAP:
+        if m <= TABLE_EDGE_CAP:
             scaled.append(spec.sigma * linf)
     decreasing = all(b < a for a, b in zip(scaled, scaled[1:]))
     _emit(args, ["n", "linf", "l1", "sigma"], rows, {"scaled_linf_decreasing": decreasing})
@@ -247,11 +228,8 @@ def cmd_bounds_check(args) -> int:
     exceed = float(np.sum(weights * (np.abs(vals) >= tmin * f.norm2())))
     record("hyperconc_tail", hyperconc_tail(hp, f.norm2(), tmin) - exceed)
 
-    # mainchf bound: X = normalized edge sum, Y = degree->=2 part of f_r, on n=4
-    spec5 = CliqueSpec(n=5, r=3, p=p)
-    fr5 = fr_function(spec5)
-    sigma = spec5.sigma
-    kap = (1.0 / sigma) * (fr5 - fr5.degree_slice(0))
+    # mainchf bound on n=5: X = degree-1 part of kappa (an edge sum), Y = its degree->=2 part
+    kap = kappa_function(CliqueSpec(n=5, r=3, p=p))
     x_part = kap.degree_slice(1)
     y_part = kap.tail(1)
     a2 = max(c * c for c in x_part.coeffs.values())

@@ -14,9 +14,9 @@ import numpy as np
 from .distributions import EmpiricalDistribution, LatticeSpec
 from .errors import CapacityError, DomainError
 from .ground import EdgeGround, GraphAssignment, binom, support_vertices
-from .pbf import PBFunction, _butterfly, _mask, popcount_array
+from .pbf import TABLE_EDGE_CAP, PBFunction, _butterfly, _mask, popcount_array
 
-EXACT_DISTRIBUTION_EDGE_CAP = 21
+EXACT_DISTRIBUTION_EDGE_CAP = TABLE_EDGE_CAP  # the name the benchmark's workloads read
 
 
 @dataclass(frozen=True)
@@ -323,15 +323,13 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
     the butterfly pass v1 += v0 adds every graph without the edge into the
     same graph with it, so g ends up counting the clique masks inside g.
     uint8 cannot wrap here, since every partial sum is at most C(n, r), and
-    under the 21-edge cap C(n, r) <= C(7, 3) = 35.  Callers that scale or
-    square the counts must cast them first.
+    under the 21-edge TABLE_EDGE_CAP C(n, r) <= C(7, 3) = 35.  Callers that
+    scale or square the counts must cast them first.
     """
     ground = EdgeGround(n)
     m = ground.size
-    if m > EXACT_DISTRIBUTION_EDGE_CAP:
-        raise CapacityError(
-            f"exhaustive enumeration capped at {EXACT_DISTRIBUTION_EDGE_CAP} edges, got {m}"
-        )
+    if m > TABLE_EDGE_CAP:
+        raise CapacityError(f"exhaustive enumeration capped at {TABLE_EDGE_CAP} edges, got {m}")
     counts = np.zeros(1 << m, dtype=np.uint8)
     counts[clique_edge_masks(ground, r)] = 1
 

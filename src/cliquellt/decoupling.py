@@ -11,12 +11,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .distributions import SERIAL_BLAS_ENTRIES, chf_sum
-from .errors import CapacityError, DomainError, GroundMismatchError
+from .errors import DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
 from .pbf import PBFunction, _edges, _mask, assignment_weights, chi_value
 from .sampling import MCConfig
-
-INNER_ENUMERATION_EDGE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -44,13 +42,6 @@ class BlockPartition:
     def block(self, i: int) -> frozenset[int]:
         return frozenset(_edges(self._masks[i]))
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.ground.n, "k": self.k, "block_of": list(self.block_of)}
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "BlockPartition":
-        return cls(EdgeGround(payload["n"]), payload["k"], tuple(payload["block_of"]))
-
 
 def is_rainbow(S: Iterable[int], part: BlockPartition) -> bool:
     """True iff S meets every block B_1..B_k (vacuously true for k=0)."""
@@ -71,16 +62,6 @@ class DoubledGround:
     @property
     def size(self) -> int:
         return 2 * self.partition.ground.size
-
-    def var(self, edge: int, copy: int = 0) -> int:
-        if copy not in (0, 1):
-            raise DomainError("copy must be 0 or 1")
-        if copy == 1 and self.partition.block_of[edge] == 0:
-            raise DomainError(f"edge {edge} is in B_0 and has a single copy")
-        return 2 * edge + copy
-
-    def base_edge(self, v: int) -> tuple[int, int]:
-        return v // 2, v % 2
 
     def x_vars(self) -> list[int]:
         """Variables for the undoubled B_0 edges, ascending."""
@@ -153,13 +134,12 @@ def alpha_transform(f: PBFunction, part: BlockPartition) -> PBFunction:
     return PBFunction._from_masks(DoubledGround(part), f.p, out)
 
 
-def alpha_restricted_coeffs(
-    f: PBFunction,
-    part: BlockPartition,
-    y_bits: Mapping[int, tuple[int, int]],
-) -> PBFunction:
-    """alpha(f) with the doubled Y variables fixed: a function of X over B_0."""
-    af = alpha_transform(f, part)
+def alpha_restricted_coeffs(af: PBFunction, y_bits: Mapping[int, tuple[int, int]]) -> PBFunction:
+    """alpha(f), as alpha_transform returns it, with the doubled Y variables
+    fixed: a function of X over B_0."""
+    if not isinstance(af.ground, DoubledGround):
+        raise GroundMismatchError("alpha_restricted_coeffs takes alpha(f), which lives on a DoubledGround")
+    part = af.ground.partition
     beta = {}
     for e, (b0, b1) in y_bits.items():
         if part.block_of[e] == 0:
@@ -242,13 +222,13 @@ def rainbow_cliques(part: BlockPartition, r: int) -> list[tuple[int, ...]]:
 
 
 def exact_chf(f: PBFunction, t: float) -> complex:
-    """E[e^{itf}] by exhaustive weighted enumeration of f's truth table (EdgeGround only)."""
+    """E[e^{itf}] by exhaustive weighted enumeration of f's truth table (EdgeGround only).
+
+    CapacityError above TABLE_EDGE_CAP edges, from f.table().
+    """
     if not isinstance(f.ground, EdgeGround):
         raise DomainError("exact_chf enumerates a base EdgeGround")
-    m = f.ground.size
-    if m > INNER_ENUMERATION_EDGE_CAP:
-        raise CapacityError(f"exact chf capped at {INNER_ENUMERATION_EDGE_CAP} edges, got {m}")
-    return chf_sum(t, f.table(), assignment_weights(m, f.p))
+    return chf_sum(t, f.table(), assignment_weights(f.ground.size, f.p))
 
 
 @dataclass(frozen=True)
@@ -270,15 +250,18 @@ def decoupling_check(
     The left side is exact (enumeration over the base ground); on the right the
     inner X-expectation is exact over B_0 and the outer Y-expectation is Monte
     Carlo over the Y rows of ``mc.edge_draws``.  One alpha(f), one truth table
-    of f and one set of Y draws serve every t.
+    of f and one set of Y draws serve every t; an empty ts builds none of them.
     """
+    if len(ts) == 0:
+        return []
+    # CapacityError above TABLE_EDGE_CAP edges; the 2^nx inner table is no
+    # larger, since the X variables are the B_0 edges
+    table = f.table()
     af = alpha_transform(f, part)  # f must live on part's EdgeGround
     x_vars = af.ground.x_vars()
     nx = len(x_vars)
-    if max(part.ground.size, nx) > INNER_ENUMERATION_EDGE_CAP:
-        raise CapacityError(f"edges and inner variables capped at {INNER_ENUMERATION_EDGE_CAP}")
     p = f.p
-    table, weights = f.table(), assignment_weights(part.ground.size, p)
+    weights = assignment_weights(part.ground.size, p)
     y_pos = {v: i for i, v in enumerate(af.ground.y_vars())}
     x_mask = _mask(x_vars)
     c0, c1 = chi_value(p, 0), chi_value(p, 1)

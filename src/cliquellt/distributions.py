@@ -15,6 +15,7 @@ from .errors import DomainError, LatticeMismatchError
 LATTICE_TOL = 1e-9
 INVERSION_TOL = 1e-9  # lattice_inversion stops once a doubling moves its result by less
 GAUSSIAN_TRUNCATION_SIGMAS = 12.0
+GAUSSIAN_MAX_POINTS = 1 << 22  # lattice points of one discrete_gaussian: 32 MB per array
 CHF_BLOCK = 1 << 16  # (t, x) phases per block of phase_blocks
 # Entries one BLAS reduction may take.  OpenBLAS 0.3.31 ran a one-row real
 # product of 12288 entries (not 8192), and a complex matrix-vector product of
@@ -120,24 +121,6 @@ class EmpiricalDistribution:
         """Exact characteristic function sum(mass * e^{itx}), at a scalar or each entry of an array t."""
         return chf_sum(t, self.points(), self.masses)
 
-    def rescale(self, shift: float, scale: float) -> "EmpiricalDistribution":
-        """Distribution of (X - shift)/scale: the same indices on a rescaled lattice."""
-        lat = LatticeSpec((self.lattice.b - shift) / scale, self.lattice.h / scale)
-        return EmpiricalDistribution.from_indices(lat, self.k, self.masses)
-
-    # -- CSV interface: header `value,probability`, ascending values ----
-
-    def to_csv(self) -> str:
-        return "value,probability\n" + "".join(f"{x:.17g},{m:.17g}\n" for x, m in self.mass.items())
-
-    @classmethod
-    def from_csv(cls, text: str, lattice: LatticeSpec) -> "EmpiricalDistribution":
-        lines = text.strip().splitlines()
-        if lines[0].strip() != "value,probability":
-            raise DomainError("bad CSV header for distribution")
-        rows = (line.split(",") for line in lines[1:])
-        return cls(lattice, {float(x): float(m) for x, m in rows})
-
 
 def phase_blocks(ts: np.ndarray, x: np.ndarray):
     """(t slice, x slice, t*x) blocks of at most CHF_BLOCK phases over flat ts and x.
@@ -167,16 +150,23 @@ def discrete_gaussian(lattice: LatticeSpec, mu: float, sigma: float) -> Empirica
     """h * N(mu, sigma^2) density sampled on lattice points within +-12 sigma.
 
     Not renormalized; total() reports the Riemann-sum deviation from 1.
+    DomainError if that range holds more than GAUSSIAN_MAX_POINTS points or
+    reaches an index beyond 2^53, where LatticeSpec.index is no longer exact.
     """
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise DomainError(f"mu and sigma must be finite, got mu={mu}, sigma={sigma}")
     h = lattice.h
-    lo = math.floor((mu - GAUSSIAN_TRUNCATION_SIGMAS * sigma - lattice.b) / h)
-    hi = math.ceil((mu + GAUSSIAN_TRUNCATION_SIGMAS * sigma - lattice.b) / h)
+    lo = (mu - GAUSSIAN_TRUNCATION_SIGMAS * sigma - lattice.b) / h
+    hi = (mu + GAUSSIAN_TRUNCATION_SIGMAS * sigma - lattice.b) / h
+    if not (-(2.0**53) <= lo and hi <= 2.0**53 and hi - lo <= GAUSSIAN_MAX_POINTS):
+        raise DomainError(
+            f"mu={mu}, sigma={sigma} span lattice indices {lo:g}..{hi:g}: beyond 2^53"
+            f" or more than {GAUSSIAN_MAX_POINTS} points"
+        )
     norm = h / (math.sqrt(2.0 * math.pi) * sigma)
-    k = np.arange(lo, hi + 1, dtype=np.int64)
+    k = np.arange(math.floor(lo), math.ceil(hi) + 1, dtype=np.int64)
     masses = norm * np.exp(-((lattice.point(k) - mu) ** 2) / (2.0 * sigma**2))
     return EmpiricalDistribution.from_indices(lattice, k, masses)
 

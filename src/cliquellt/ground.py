@@ -2,7 +2,7 @@
 
 Vertices are 1-based.  Edges (i, j) with 1 <= i < j <= n are indexed
 lexicographically on (i, j), so (1,2) -> 0, (1,3) -> 1, ..., (n-1,n) -> C(n,2)-1.
-All serialization in this package uses this indexing.
+Every edge index in this package uses this indexing.
 """
 
 from __future__ import annotations
@@ -65,26 +65,6 @@ def support_vertices(ground: EdgeGround, members: Iterable[int]) -> frozenset[in
         verts.add(i)
         verts.add(j)
     return frozenset(verts)
-
-
-@dataclass(frozen=True)
-class EdgeSet:
-    """A subset of the edges of K_n, stored as a frozenset of canonical indices."""
-
-    ground: EdgeGround
-    members: frozenset[int]
-
-    def __post_init__(self):
-        for idx in self.members:
-            if not (0 <= idx < self.ground.size):
-                raise DomainError(f"edge index {idx} invalid for n={self.ground.n}")
-
-    @property
-    def support(self) -> frozenset[int]:
-        return support_vertices(self.ground, self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ to reals; anything below PRUNE_TOL after arithmetic is dropped.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 from itertools import combinations
@@ -19,7 +18,9 @@ from .errors import CapacityError, DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
 
 PRUNE_TOL = 1e-14
-TRANSFORM_EDGE_CAP = 25
+# Largest m of any 2^m table (truth tables, transforms, exhaustive counts and
+# chfs): at m = 21 one float64 table is 16 MB, and each edge more doubles it.
+TABLE_EDGE_CAP = 21
 BUTTERFLY_BLOCK_BYTES = 1 << 19  # one block of a butterfly pass stays in L2
 BUTTERFLY_LOW_EDGES = 5  # edges a block takes on its transposed copy
 
@@ -134,8 +135,8 @@ class PBFunction:
         edge's key bit into its assignment bit.  Inverse of fourier_transform.
         """
         m = self.ground.size
-        if m > TRANSFORM_EDGE_CAP:
-            raise CapacityError(f"truth table capped at {TRANSFORM_EDGE_CAP} edges, got {m}")
+        if m > TABLE_EDGE_CAP:
+            raise CapacityError(f"truth table capped at {TABLE_EDGE_CAP} edges, got {m}")
         v = np.zeros(1 << m)
         v[list(self._coeffs)] = list(self._coeffs.values())
         c0, c1 = chi_value(self.p, 0), chi_value(self.p, 1)
@@ -222,28 +223,6 @@ class PBFunction:
                 factor *= chi_beta[e]
             out[S & keep_mask] = out.get(S & keep_mask, 0.0) + factor
         return PBFunction._from_masks(self.ground, self.p, out)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        if not isinstance(self.ground, EdgeGround):
-            raise DomainError("JSON serialization is defined for EdgeGround functions only")
-        payload = {
-            "n": self.ground.n,
-            "p": self.p,
-            "coeffs": [
-                {"edges": _edges(S), "value": c}
-                for S, c in sorted(self._coeffs.items(), key=lambda kv: (kv[0].bit_count(), _edges(kv[0])))
-            ],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PBFunction":
-        payload = json.loads(text)
-        ground = EdgeGround(payload["n"])
-        coeffs = {_mask(item["edges"]): item["value"] for item in payload["coeffs"]}
-        return cls._from_masks(ground, payload["p"], coeffs)
 
     def __repr__(self) -> str:
         return f"PBFunction(p={self.p}, terms={len(self._coeffs)}, degree={self.degree()})"
@@ -337,8 +316,8 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
     Inverse of PBFunction.table.
     """
     m = ground.size
-    if m > TRANSFORM_EDGE_CAP:
-        raise CapacityError(f"exhaustive transform capped at {TRANSFORM_EDGE_CAP} edges, got {m}")
+    if m > TABLE_EDGE_CAP:
+        raise CapacityError(f"exhaustive transform capped at {TABLE_EDGE_CAP} edges, got {m}")
     v = np.array(table, dtype=np.float64)
     if v.shape != (1 << m,):
         raise DomainError(f"table must have length 2^{m}")

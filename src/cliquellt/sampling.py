@@ -11,7 +11,6 @@ import numpy as np
 from .cliques import CliqueSpec, count_cliques_batch
 from .distributions import EmpiricalDistribution, LatticeSpec, chf_sum, phase_blocks
 from .errors import DomainError
-from .ground import EdgeGround, GraphAssignment
 
 
 # edge draws per chunk of MCConfig.edge_draws: a 1 MB block of doubles, so a
@@ -83,16 +82,6 @@ class ChfEstimate:
     samples: int
 
 
-def sample_gnp(n: int, p: float, rng: np.random.Generator) -> GraphAssignment:
-    """One G(n,p) graph: each edge i.i.d. Bernoulli(p) from the given stream."""
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"p must lie in (0,1), got {p}")
-    ground = EdgeGround(n)
-    draws = rng.random(ground.size) < p
-    bits = int.from_bytes(np.packbits(draws, bitorder="little").tobytes(), "little")
-    return GraphAssignment(ground, bits)
-
-
 def sample_clique_counts(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
     """Monte Carlo clique counts: i.i.d. G(n,p) draws, one count per sample.
 
@@ -110,11 +99,6 @@ def sample_kappa(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
         raise DomainError(f"sigma must be positive, got {sigma}")
     counts = sample_clique_counts(spec, mc)
     return (counts - spec.mu) / sigma
-
-
-def empirical_chf(values: np.ndarray, t: float) -> ChfEstimate:
-    """(1/N) sum e^{itx_j} with its standard error: the one-t case of empirical_chf_grid."""
-    return empirical_chf_grid(values, [t])[0]
 
 
 def empirical_chf_grid(values: np.ndarray, ts: np.ndarray) -> list[ChfEstimate]:

@@ -32,7 +32,7 @@ from cliquellt import (
     count_cliques,
     decoupling_check,
     discrete_gaussian,
-    empirical_chf,
+    empirical_chf_grid,
     exact_distribution,
     fourier_coeff_fr,
     fourier_transform,
@@ -238,13 +238,14 @@ def test_criterion_07_degree_collapse():
         k = r - 2
         sizes = [n - k * (n // (k + 1))] + [n // (k + 1)] * k
         part = build_color_partition(n, k, sizes)
+        akap = alpha_transform(kap, part)
         for _ in range(100):
             y_bits = {
                 e: (int(rng.random() < 0.5), int(rng.random() < 0.5))
                 for e in range(part.ground.size)
                 if part.block_of[e] != 0
             }
-            g = alpha_restricted_coeffs(kap, part, y_bits)
+            g = alpha_restricted_coeffs(akap, y_bits)
             ok &= all(len(S) <= 1 for S in g.coeffs)
     assert report(7, "k=r-2 degree collapse", ok, started)
 
@@ -332,11 +333,11 @@ def test_criterion_10_chf_regime_probe():
     mc = MCConfig(seed=1010, samples=300_000, workers=4)
     kap = sample_kappa(spec, mc)
 
-    est1 = empirical_chf(kap, 1.0)
+    est1 = empirical_chf_grid(kap, [1.0])[0]
     ok = abs(abs(est1.value) - math.exp(-0.5)) <= 0.05 + 3.0 * est1.stderr
 
     t_mid = 30.0**0.6
-    est2 = empirical_chf(kap, t_mid)
+    est2 = empirical_chf_grid(kap, [t_mid])[0]
     ok &= abs(est2.value) <= 0.01 + 3.0 * est2.stderr
 
     elapsed = time.time() - started

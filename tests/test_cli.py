@@ -121,25 +121,6 @@ def test_bounds_check_cli(capsys):
     assert names == {"bernoulli_chf", "berry_esseen", "hyperconc_moment", "hyperconc_tail", "mainchf"}
 
 
-def test_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CLIQUELLT_N", "5")
-    monkeypatch.setenv("CLIQUELLT_P", "0.3")
-    code, out = run(["moments", "--r", "3"], capsys)
-    assert code == 0
-    config, _, rows = parse_csv(out)
-    assert config["n"] == "5"
-    table = {name: float(v) for name, v in rows}
-    assert table["mu"] == pytest.approx(0.3**3 * 10)
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("CLIQUELLT_N", "5")
-    code, out = run(["moments", "--n", "4", "--r", "3", "--p", "0.5"], capsys)
-    assert code == 0
-    config, _, _ = parse_csv(out)
-    assert config["n"] == "4"
-
-
 @pytest.mark.parametrize(
     "argv",
     [

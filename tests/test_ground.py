@@ -1,6 +1,6 @@
 import pytest
 
-from cliquellt import DomainError, EdgeGround, EdgeSet, GraphAssignment, support_vertices
+from cliquellt import DomainError, EdgeGround, GraphAssignment, support_vertices
 from cliquellt.ground import binom
 
 
@@ -40,13 +40,6 @@ def test_support_vertices():
     assert support_vertices(ground, [ground.index(1, 2)]) == {1, 2}
     tri = [ground.index(1, 2), ground.index(1, 3), ground.index(2, 3)]
     assert support_vertices(ground, tri) == {1, 2, 3}
-
-
-def test_edge_set_support():
-    ground = EdgeGround(5)
-    es = EdgeSet(ground, frozenset([ground.index(2, 4), ground.index(4, 5)]))
-    assert es.support == {2, 4, 5}
-    assert len(es) == 2
 
 
 def test_graph_assignment_basics():

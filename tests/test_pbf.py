@@ -14,17 +14,20 @@ from cliquellt import (
     CliqueSpec,
     DomainError,
     EdgeGround,
+    MCConfig,
     PBFunction,
     alpha_transform,
     build_clique_partition,
     build_color_partition,
     chi_value,
+    decoupling_check,
+    exact_chf,
     fourier_transform,
     fr_function,
     kappa_function,
     multiply,
 )
-from cliquellt.cliques import counts_over_all_graphs
+from cliquellt.cliques import EXACT_DISTRIBUTION_EDGE_CAP, counts_over_all_graphs
 from cliquellt import pbf
 from cliquellt.pbf import PRUNE_TOL, _butterfly, assignment_weights, gamma_coeff, popcount_array
 
@@ -141,11 +144,28 @@ def test_transform_edge_count_table_and_cap():
     ground = EdgeGround(3)
     f = fourier_transform(popcount_array(ground.size), ground, 0.5)
     assert f.degree() == 1
-    with pytest.raises(CapacityError):
-        fourier_transform(np.zeros(4), EdgeGround(8), 0.5)
     assert PBFunction.constant(EdgeGround(1), 0.4, 2.5).table().tolist() == [2.5]
-    with pytest.raises(CapacityError):
-        PBFunction.constant(EdgeGround(8), 0.5, 1.0).table()
+    # One cap on every 2^m table: each entry point takes 21 edges (n = 7) and
+    # raises at 28 (n = 8), and at 22 where a hand-made ground can have that size.
+    assert pbf.TABLE_EDGE_CAP == EXACT_DISTRIBUTION_EDGE_CAP == 21
+    n7, n8, hand22 = EdgeGround(7), EdgeGround(8), SimpleNamespace(size=22)
+
+    def decouple(g):
+        part = build_color_partition(g.n, 1, [g.n - g.n // 2, g.n // 2])
+        return decoupling_check(fr_function(CliqueSpec(g.n, 3, 0.5)), part, [1.0], MCConfig(seed=0, samples=2))
+
+    entry_points = [
+        (lambda g: counts_over_all_graphs(g.n, 3), [n8]),
+        (lambda g: PBFunction.constant(g, 0.5, 1.0).table(), [hand22, n8]),
+        (lambda g: fourier_transform(np.zeros(1 << 21), g, 0.5), [hand22, n8]),
+        (lambda g: exact_chf(PBFunction.constant(g, 0.5, 1.0), 1.0), [n8]),
+        (decouple, [n8]),
+    ]
+    for run, above in entry_points:
+        run(n7)
+        for g in above:
+            with pytest.raises(CapacityError):
+                run(g)
 
 
 TABLE_CASES = dict(
@@ -286,17 +306,6 @@ def test_spectral_power_inequality():
                 bound = bound_base ** (d * (j - 1)) * f.spectral_norm1() ** j
                 assert power.spectral_norm1() <= bound + 1e-9
 
-
-def test_json_round_trip():
-    rng = np.random.default_rng(41)
-    ground = EdgeGround(4)
-    f = random_function(ground, 0.45, rng, max_degree=2)
-    g = PBFunction.from_json(f.to_json())
-    assert g.ground == ground
-    assert g.p == f.p
-    assert set(g.coeffs) == set(f.coeffs)
-    for S, c in f.coeffs.items():
-        assert g.coeff(S) == pytest.approx(c, abs=0.0)
 
 
 def test_popcount_and_weights():

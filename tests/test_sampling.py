@@ -8,12 +8,10 @@ from cliquellt import (
     DomainError,
     LatticeSpec,
     MCConfig,
-    empirical_chf,
     empirical_chf_grid,
     empirical_distribution,
     mean,
     sample_clique_counts,
-    sample_gnp,
     sample_kappa,
 )
 
@@ -29,28 +27,14 @@ def test_mcconfig_validation_and_quotas():
     assert len(mc.worker_rngs()) == 3
 
 
-def test_sample_gnp_edge_count_mean():
-    rng = np.random.default_rng(1234)
+def test_edge_draws_edge_count_mean():
     n, p, reps = 50, 0.3, 10_000
     m = n * (n - 1) // 2
-    counts = np.array([sample_gnp(n, p, rng).edge_count() for _ in range(reps)])
+    rows = MCConfig(seed=1234, samples=reps, workers=2).edge_draws(m, p)
+    counts = np.concatenate([edges.sum(axis=1) for edges in rows])
+    assert counts.size == reps
     se = math.sqrt(m * p * (1 - p) / reps)
     assert abs(float(np.mean(counts)) - p * m) <= 4 * se
-
-
-def test_sample_gnp_deterministic():
-    g1 = sample_gnp(10, 0.5, np.random.default_rng(7))
-    g2 = sample_gnp(10, 0.5, np.random.default_rng(7))
-    assert g1.bits == g2.bits
-
-
-def test_sample_gnp_bits_match_edge_loop():
-    # edge idx of the draws is bit idx of the mask, over byte boundaries too
-    for n in (1, 2, 4, 5, 12, 50):
-        for seed in range(3):
-            draws = np.random.default_rng(seed).random(n * (n - 1) // 2) < 0.4
-            want = sum(1 << int(idx) for idx in np.nonzero(draws)[0])
-            assert sample_gnp(n, 0.4, np.random.default_rng(seed)).bits == want
 
 
 def test_clique_counts_reproducible_bit_identical():
@@ -161,13 +145,13 @@ def test_sample_kappa_standardized():
 
 def test_empirical_chf_basics():
     vals = np.full(100, 2.0)
-    est = empirical_chf(vals, 0.7)
+    est = empirical_chf_grid(vals, [0.7])[0]
     assert est.value == pytest.approx(complex(math.cos(1.4), math.sin(1.4)))
     assert est.stderr == pytest.approx(0.0, abs=1e-15)
-    est0 = empirical_chf(np.random.default_rng(0).normal(size=500), 0.0)
+    est0 = empirical_chf_grid(np.random.default_rng(0).normal(size=500), [0.0])[0]
     assert est0.value == pytest.approx(1.0 + 0.0j)
     with pytest.raises(DomainError):
-        empirical_chf(np.array([1.0]), 1.0)
+        empirical_chf_grid(np.array([1.0]), [1.0])
 
 
 def test_empirical_chf_grid_and_symmetry():
@@ -199,7 +183,7 @@ def test_empirical_chf_grid_matches_per_sample_formula(seed):
             assert abs(est.value - value) <= 1e-15
             assert abs(est.stderr - stderr) <= 1e-15
             assert est.samples == values.size
-        at0 = empirical_chf(values, 0.0)
+        at0 = empirical_chf_grid(values, [0.0])[0]
         assert (at0.value, at0.stderr) == (1 + 0j, 0.0)
 
 
