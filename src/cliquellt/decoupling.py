@@ -13,7 +13,8 @@ import numpy as np
 from .distributions import SERIAL_BLAS_ENTRIES, chf_sum
 from .errors import DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
-from .pbf import PBFunction, _edges, _mask, assignment_weights, chi_value
+from . import sampling
+from .pbf import PBFunction, _edges, _mask, assignment_weights
 from .sampling import MCConfig
 
 
@@ -66,10 +67,6 @@ class DoubledGround:
     def x_vars(self) -> list[int]:
         """Variables for the undoubled B_0 edges, ascending."""
         return [2 * e for e, b in enumerate(self.partition.block_of) if b == 0]
-
-    def y_vars(self) -> list[int]:
-        """Variables for the doubled copies, ascending."""
-        return [v for v in range(self.size) if self.partition.block_of[v // 2] != 0]
 
 
 def flatten(S: Iterable[int]) -> frozenset[int]:
@@ -247,54 +244,43 @@ def decoupling_check(
 ) -> list[DecouplingCheck]:
     """Both sides of |phi_f(t)|^{2^k} <= E_Y |E_X e^{it alpha(f)}|, one check per t in ts.
 
-    The left side is exact (enumeration over the base ground); on the right the
-    inner X-expectation is exact over B_0 and the outer Y-expectation is Monte
-    Carlo over the Y rows of ``mc.edge_draws``.  One alpha(f), one truth table
-    of f and one set of Y draws serve every t; an empty ts builds none of them.
+    The left side is exact (enumeration over the base ground).  The right side
+    reads alpha(f)(X, Y) = sum_v (-1)^|v| f(X, Y^v) off f's truth table, where
+    Y^v takes copy v_b of each edge of block b: exact over the X assignments
+    of B_0, Monte Carlo over the rows of ``mc.edge_draws`` (column 2j + copy
+    is that copy of the j-th Y edge), in row blocks so that memory does not
+    grow with the samples.  One truth table and one set of Y draws serve
+    every t; an empty ts builds neither.
     """
     if len(ts) == 0:
         return []
-    # CapacityError above TABLE_EDGE_CAP edges; the 2^nx inner table is no
-    # larger, since the X variables are the B_0 edges
-    table = f.table()
-    af = alpha_transform(f, part)  # f must live on part's EdgeGround
-    x_vars = af.ground.x_vars()
-    nx = len(x_vars)
-    p = f.p
-    weights = assignment_weights(part.ground.size, p)
-    y_pos = {v: i for i, v in enumerate(af.ground.y_vars())}
-    x_mask = _mask(x_vars)
-    c0, c1 = chi_value(p, 0), chi_value(p, 1)
-
-    # Split every key of alpha(f) into its X part (grouped) and Y part, ascending.
-    x_keys: dict[int, int] = {}
-    key_rows = []  # (x_key_index, y_columns, coefficient)
-    for K, c in af._coeffs.items():
-        row = x_keys.setdefault(K & x_mask, len(x_keys))
-        key_rows.append((row, [y_pos[v] for v in _edges(K & ~x_mask)], c))
-
-    # chi_S(x) table over all X assignments, plus G(n,p) weights for X.
-    x_bits = np.arange(1 << nx)
-    chi_cols = {v: np.where((x_bits >> i) & 1, c1, c0) for i, v in enumerate(x_vars)}
-    chi_x = np.ones((len(x_keys), 1 << nx))
-    for row, xk in zip(chi_x, x_keys):  # x_keys holds the X parts in row order
-        for v in _edges(xk):
-            row *= chi_cols[v]
-    wx = assignment_weights(nx, p)
+    if not isinstance(f.ground, EdgeGround) or f.ground != part.ground:
+        raise GroundMismatchError("function and partition live on different grounds")
+    table = f.table()  # CapacityError above TABLE_EDGE_CAP edges
+    x_edges = [e for e, b in enumerate(part.block_of) if b == 0]
+    y_edges = [e for e, b in enumerate(part.block_of) if b != 0]
+    # x_index[a]: the base-edge bits of X assignment a, whose bit i is edge x_edges[i]
+    x_index = np.zeros(1, dtype=np.int64)
+    for e in x_edges:
+        x_index = np.concatenate([x_index, x_index | 1 << e])
+    wx = assignment_weights(len(x_edges), f.p)
+    vs = list(product((0, 1), repeat=part.k))
+    # pick[v, j]: the draw column of the copy of the j-th Y edge that Y^v takes
+    pick = np.array([[2 * j + v[part.block_of[e] - 1] for j, e in enumerate(y_edges)] for v in vs], dtype=np.intp)
+    y_edge_bits = np.array([1 << e for e in y_edges], dtype=np.int64)
+    # g, its gather indices and the gathered values: a quarter of CHUNK_DRAWS entries each
+    step = max(2, sampling.CHUNK_DRAWS // (4 * x_index.size))
 
     abs_vals: list[list[np.ndarray]] = [[] for _ in ts]
-    for ybits in mc.edge_draws(len(y_pos), p):
-        q = ybits.shape[0]
-        ychi = np.where(ybits, c1, c0)
-        coefmat = np.zeros((q, len(x_keys)))
-        for s_idx, ycols, c in key_rows:
-            term = np.full(q, c)
-            for col in ycols:
-                term = term * ychi[:, col]
-            coefmat[:, s_idx] += term
-        g_vals = coefmat @ chi_x  # (q, 2^nx)
-        for vals, t in zip(abs_vals, ts):
-            vals.append(np.abs(_inner_chf(g_vals, t, wx)))
+    for draws in mc.edge_draws(2 * len(y_edges), f.p):
+        y_masks = draws[:, pick] @ y_edge_bits  # (rows, 2^k): the edge mask of each Y^v
+        for lo, hi in _row_blocks(len(y_masks), step):
+            g = np.zeros((hi - lo, x_index.size))
+            for v, y_mask in zip(vs, y_masks[lo:hi].T):
+                g += (-1) ** sum(v) * table[y_mask[:, None] | x_index]
+            for out, t in zip(abs_vals, ts):
+                out.append(np.abs(_inner_chf(g, t, wx)))
+    weights = assignment_weights(part.ground.size, f.p)
     checks = []
     for t, vals in zip(ts, abs_vals):
         allvals = np.concatenate(vals)
@@ -305,6 +291,15 @@ def decoupling_check(
     return checks
 
 
+def _row_blocks(q: int, step: int):
+    """(lo, hi) blocks of ``step`` rows over q rows; a lone leftover row joins the last block."""
+    lo = 0
+    while lo < q:
+        hi = q if q - lo <= step + 1 else lo + step
+        yield lo, hi
+        lo = hi
+
+
 def _inner_chf(g_vals: np.ndarray, t: float, wx: np.ndarray) -> np.ndarray:
     """np.exp(1j*t*g_vals) @ wx, by row blocks of about SERIAL_BLAS_ENTRIES.
 
@@ -313,12 +308,7 @@ def _inner_chf(g_vals: np.ndarray, t: float, wx: np.ndarray) -> np.ndarray:
     holds at least two rows: a lone row goes through another BLAS kernel,
     whose bits differ.
     """
-    q = g_vals.shape[0]
-    step = max(2, SERIAL_BLAS_ENTRIES // g_vals.shape[1])
-    out = np.empty(q, dtype=np.complex128)
-    lo = 0
-    while lo < q:
-        hi = q if q - lo <= step + 1 else lo + step
+    out = np.empty(g_vals.shape[0], dtype=np.complex128)
+    for lo, hi in _row_blocks(len(out), max(2, SERIAL_BLAS_ENTRIES // g_vals.shape[1])):
         out[lo:hi] = np.exp(1j * t * g_vals[lo:hi]) @ wx
-        lo = hi
     return out

@@ -209,9 +209,11 @@ def lattice_inversion(
     in steps.  n starts at >= 32 points per unit period of the fastest known
     oscillation and doubles, evaluating only the new midpoints, until the
     result is stable to INVERSION_TOL.  ``freq_hint`` may give the largest
-    |value - x| in the support if known.
+    |value - x| in the support if known; a non-finite hint is a DomainError.
     """
     lattice.index(x)  # raises DomainError off the lattice
+    if freq_hint is not None and not math.isfinite(freq_hint):
+        raise DomainError(f"freq_hint must be finite, got {freq_hint}")
     h = lattice.h
     half = math.pi / h
     omega = max(abs(x), h, freq_hint if freq_hint is not None else 0.0)

