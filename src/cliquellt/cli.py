@@ -41,26 +41,18 @@ from .sampling import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--p", type=float, dest="prob", default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=3.0)
-    p.add_argument("--t-steps", type=int, default=13)
-    p.add_argument("--out", type=str, default="")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--self-check", action="store_true")
+# every option a subcommand may read, keyed by dest: (flag, type, default)
+_OPTIONS = {
+    "n": ("--n", int, 6), "r": ("--r", int, 3), "prob": ("--p", float, 0.5),
+    "seed": ("--seed", int, 0), "samples": ("--samples", int, 10000), "workers": ("--workers", int, 1),
+    "t_min": ("--t-min", float, 0.0), "t_max": ("--t-max", float, 3.0), "t_steps": ("--t-steps", int, 13),
+}
+_SPEC = ("n", "r", "prob")
+_MC = (*_SPEC, "seed", "samples", "workers")
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    keys = ("n", "r", "prob", "seed", "samples", "workers", "t_min", "t_max", "t_steps")
-    cfg = {k: getattr(args, k) for k in keys if hasattr(args, k)}
-    cfg["version"] = __version__
-    return cfg
+    return {k: getattr(args, k) for k in args.options} | {"version": __version__}
 
 
 def _emit(args, columns: list[str], rows: list[list], extra: dict | None = None) -> None:
@@ -83,10 +75,6 @@ def _emit(args, columns: list[str], rows: list[list], extra: dict | None = None)
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _t_grid(args) -> np.ndarray:
-    return np.linspace(args.t_min, args.t_max, args.t_steps)
 
 
 def _spec(args) -> CliqueSpec:
@@ -137,6 +125,8 @@ def cmd_exact_dist(args) -> int:
 
 
 def cmd_llt_verify(args) -> int:
+    if args.n < 6:  # the trend needs the exact rows at n = 5 and 6
+        raise DomainError(f"llt-verify needs --n >= 6 for two exact rows to compare, got {args.n}")
     rows = []
     scaled = []
     for n in range(5, args.n + 1):
@@ -159,10 +149,14 @@ def cmd_llt_verify(args) -> int:
 
 
 def cmd_chf_scan(args) -> int:
+    if not (args.t_steps >= 1 and math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+        raise DomainError(
+            f"need finite --t-min, --t-max and --t-steps >= 1, got {args.t_min}, {args.t_max}, {args.t_steps}"
+        )
     spec = _spec(args)
     mc = MCConfig(seed=args.seed, samples=args.samples, workers=args.workers)
+    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     kappa = sample_kappa(spec, mc)
-    ts = _t_grid(args)
     ests = empirical_chf_grid(kappa, ts)
     rows = [[est.t, est.value.real, est.value.imag, est.stderr] for est in ests]
     extra = {}
@@ -255,17 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cliquellt", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("moments", cmd_moments),
-        ("exact-dist", cmd_exact_dist),
-        ("llt-verify", cmd_llt_verify),
-        ("chf-scan", cmd_chf_scan),
-        ("decoupling-check", cmd_decoupling_check),
-        ("bounds-check", cmd_bounds_check),
+    for name, fn, options in (
+        ("moments", cmd_moments, _SPEC),
+        ("exact-dist", cmd_exact_dist, _SPEC),
+        ("llt-verify", cmd_llt_verify, _MC),
+        ("chf-scan", cmd_chf_scan, (*_MC, "t_min", "t_max", "t_steps")),
+        ("decoupling-check", cmd_decoupling_check, _MC),
+        ("bounds-check", cmd_bounds_check, ("prob",)),
     ):
         sp = sub.add_parser(name)
-        _add_common(sp)
-        sp.set_defaults(func=fn)
+        for dest in options:
+            flag, kind, default = _OPTIONS[dest]
+            sp.add_argument(flag, dest=dest, type=kind, default=default)
+        sp.add_argument("--out", type=str, default="")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name == "chf-scan":
+            sp.add_argument("--self-check", action="store_true")
+        sp.set_defaults(func=fn, options=options)
     return parser
 
 

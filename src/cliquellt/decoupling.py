@@ -269,14 +269,15 @@ def decoupling_check(
     pick = np.array([[2 * j + v[part.block_of[e] - 1] for j, e in enumerate(y_edges)] for v in vs], dtype=np.intp)
     y_edge_bits = np.array([1 << e for e in y_edges], dtype=np.int64)
     # g, its gather indices and the gathered values: a quarter of CHUNK_DRAWS entries each
-    step = max(2, sampling.CHUNK_DRAWS // (4 * x_index.size))
+    step = max(1, sampling.CHUNK_DRAWS // (4 * x_index.size))
 
     abs_vals: list[list[np.ndarray]] = [[] for _ in ts]
     for draws in mc.edge_draws(2 * len(y_edges), f.p):
         y_masks = draws[:, pick] @ y_edge_bits  # (rows, 2^k): the edge mask of each Y^v
-        for lo, hi in _row_blocks(len(y_masks), step):
-            g = np.zeros((hi - lo, x_index.size))
-            for v, y_mask in zip(vs, y_masks[lo:hi].T):
+        for lo in range(0, len(y_masks), step):
+            block = y_masks[lo : lo + step]
+            g = np.zeros((len(block), x_index.size))
+            for v, y_mask in zip(vs, block.T):
                 g += (-1) ** sum(v) * table[y_mask[:, None] | x_index]
             for out, t in zip(abs_vals, ts):
                 out.append(np.abs(_inner_chf(g, t, wx)))
@@ -291,24 +292,18 @@ def decoupling_check(
     return checks
 
 
-def _row_blocks(q: int, step: int):
-    """(lo, hi) blocks of ``step`` rows over q rows; a lone leftover row joins the last block."""
-    lo = 0
-    while lo < q:
-        hi = q if q - lo <= step + 1 else lo + step
-        yield lo, hi
-        lo = hi
-
-
 def _inner_chf(g_vals: np.ndarray, t: float, wx: np.ndarray) -> np.ndarray:
     """np.exp(1j*t*g_vals) @ wx, by row blocks of about SERIAL_BLAS_ENTRIES.
 
     Each row's sum has the same bits as in one product over all rows, but no
-    block is large enough for OpenBLAS to start its thread pool.  A block
-    holds at least two rows: a lone row goes through another BLAS kernel,
-    whose bits differ.
+    block is large enough for OpenBLAS to start its thread pool.  A lone row
+    goes through another BLAS kernel, whose bits differ, so it is summed as
+    row 0 of a two-row product.
     """
     out = np.empty(g_vals.shape[0], dtype=np.complex128)
-    for lo, hi in _row_blocks(len(out), max(2, SERIAL_BLAS_ENTRIES // g_vals.shape[1])):
-        out[lo:hi] = np.exp(1j * t * g_vals[lo:hi]) @ wx
+    step = max(2, SERIAL_BLAS_ENTRIES // g_vals.shape[1])
+    for lo in range(0, len(out), step):
+        rows = g_vals[lo : lo + step]
+        phases = np.exp(1j * t * (rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)))
+        out[lo : lo + len(rows)] = (phases @ wx)[: len(rows)]
     return out

@@ -15,7 +15,7 @@ from .errors import DomainError, LatticeMismatchError
 LATTICE_TOL = 1e-9
 INVERSION_TOL = 1e-9  # lattice_inversion stops once a doubling moves its result by less
 GAUSSIAN_TRUNCATION_SIGMAS = 12.0
-GAUSSIAN_MAX_POINTS = 1 << 22  # lattice points of one discrete_gaussian: 32 MB per array
+GAUSSIAN_MAX_POINTS = 1 << 22  # points of one discrete_gaussian (32 MB per array) or first inversion grid
 CHF_BLOCK = 1 << 16  # (t, x) phases per block of phase_blocks
 # Entries one BLAS reduction may take.  OpenBLAS 0.3.31 ran a one-row real
 # product of 12288 entries (not 8192), and a complex matrix-vector product of
@@ -209,7 +209,8 @@ def lattice_inversion(
     in steps.  n starts at >= 32 points per unit period of the fastest known
     oscillation and doubles, evaluating only the new midpoints, until the
     result is stable to INVERSION_TOL.  ``freq_hint`` may give the largest
-    |value - x| in the support if known; a non-finite hint is a DomainError.
+    |value - x| in the support if known; a non-finite hint is a DomainError,
+    and so is a first grid of more than GAUSSIAN_MAX_POINTS points.
     """
     lattice.index(x)  # raises DomainError off the lattice
     if freq_hint is not None and not math.isfinite(freq_hint):
@@ -220,6 +221,11 @@ def lattice_inversion(
     # 32 points per period 2*pi/omega over a range of 2*pi/h -> 32*omega/h points
     n = 64
     target = 32.0 * omega / h
+    if target > GAUSSIAN_MAX_POINTS:
+        raise DomainError(
+            f"x={x}, freq_hint={freq_hint} on step {h} need a first grid of {target:.3g} points,"
+            f" more than {GAUSSIAN_MAX_POINTS}"
+        )
     while n < target:
         n *= 2
 

@@ -107,12 +107,15 @@ def empirical_chf_grid(values: np.ndarray, ts: np.ndarray) -> list[ChfEstimate]:
     One chf_sum over the distinct sample values, weighted by their counts.
     The standard error, sqrt(sum_j |e^{itx_j} - phi|^2 / (N(N-1))) summed over
     the same values, is the hypot of the ddof=1 standard errors of re and im.
+    A non-finite t is a DomainError.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     if n < 2:
         raise DomainError("need at least two samples for an empirical chf")
     ts = np.asarray(ts, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(ts)):
+        raise DomainError(f"every t must be finite, got {ts[~np.isfinite(ts)][0]}")
     x, counts = np.unique(values, return_counts=True)
     phi = chf_sum(ts, x, counts) / n
     spread = np.zeros(ts.size)

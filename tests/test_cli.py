@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cliquellt
-from cliquellt.cli import main
+from cliquellt.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -128,14 +130,70 @@ def test_bounds_check_cli(capsys):
         ["moments", "--n", "400", "--r", "60"],
         ["chf-scan", "--n", "1", "--r", "3"],
         ["chf-scan", "--n", "2", "--r", "3"],
+        ["chf-scan", "--n", "8", "--t-steps", "-1"],
+        ["chf-scan", "--n", "8", "--t-steps", "0"],
+        ["chf-scan", "--n", "8", "--samples", "10", "--t-max", "inf"],
+        ["chf-scan", "--n", "8", "--samples", "10", "--t-min", "nan"],
+        ["llt-verify", "--n", "5"],
     ],
 )
 def test_library_error_is_one_line_on_stderr_and_exit_2(argv):
     # sigma = 0 at n < r, also with no edges at all (n = 1); the weights pass
-    # the float range at (400, 60)
+    # the float range at (400, 60); an empty or non-finite t grid; llt-verify
+    # with fewer than two exact rows to compare
     env = dict(os.environ, PYTHONPATH=str(Path(cliquellt.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-m", "cliquellt.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr.startswith("cliquellt: error: ") and run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, keys, foreign",
+    [
+        (["moments", "--n", "4"], ["n", "r", "prob"], ["--seed", "1"]),
+        (["exact-dist", "--n", "3"], ["n", "r", "prob"], ["--samples", "5"]),
+        (["llt-verify", "--n", "6"], ["n", "r", "prob", "seed", "samples", "workers"], ["--t-max", "1"]),
+        (["decoupling-check", "--n", "5", "--samples", "50"], ["n", "r", "prob", "seed", "samples", "workers"],
+         ["--t-min", "1"]),
+        (["chf-scan", "--n", "8", "--samples", "50"],
+         ["n", "r", "prob", "seed", "samples", "workers", "t_min", "t_max", "t_steps"], None),
+        (["bounds-check"], ["prob"], ["--n", "5"]),
+    ],
+    ids=["moments", "exact-dist", "llt-verify", "decoupling-check", "chf-scan", "bounds-check"],
+)
+def test_header_records_exactly_the_options_a_subcommand_reads(argv, keys, foreign, capsys):
+    # regression: every subcommand took all twelve options and recorded nine
+    # of them, read or not
+    code, out = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert list(json.loads(out)["config"]) == [*keys, "version"]
+    if foreign:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *foreign])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + foreign[0] in capsys.readouterr().err
+
+
+def test_readme_cli_block_parses_and_lists_each_subcommands_flags(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+    assert len(commands) == 6
+    for argv in commands:
+        build_parser().parse_args(argv)
+    # the flag table: `name`, `name` | `--flag --flag ...`
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names, flags = line.split("|")[1:3]
+            for name in re.findall(r"`([a-z-]+)`", names):
+                documented[name] = set(flags.split("`")[1].split())
+    assert set(documented) == {argv[0] for argv in commands}
+    for name, flags in documented.items():
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name, "--help"])
+        usage = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z-]+", usage)) == flags | {"--help", "--out", "--format"}

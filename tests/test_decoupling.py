@@ -455,13 +455,14 @@ def test_decoupling_check_memory_does_not_grow_with_the_samples():
 
 @pytest.mark.parametrize("cols", [8, 64, 4096])
 def test_inner_chf_has_the_bits_of_one_product(cols):
-    # row blocks of at least two rows: a lone row takes another BLAS kernel
+    # a lone row, alone or left over after the row blocks, has the bits it has
+    # next to any other row, not those of the one-row BLAS kernel
     rng = np.random.default_rng(cols)
     wx = rng.random(cols)
     step = max(2, SERIAL_BLAS_ENTRIES // cols)
     for q in sorted({1, 2, 3, step, step + 1, step + 2, 2 * step + 1, 3 * step - 1}):
         g = rng.normal(size=(q, cols)) * 3
-        want = np.exp(1j * 0.7 * g) @ wx
+        want = (np.exp(1j * 0.7 * np.vstack([g, rng.normal(size=(1, cols))])) @ wx)[:q]
         assert np.array_equal(_inner_chf(g, 0.7, wx).view(np.uint64), want.view(np.uint64))
 
 

@@ -147,14 +147,20 @@ def test_inversion_off_lattice_rejected():
         lattice_inversion(lambda t: 1.0 + 0j, lat, 0.5)
 
 
-@pytest.mark.parametrize("hint", [math.inf, -math.inf, math.nan])
-def test_inversion_rejects_a_non_finite_freq_hint(hint):
-    # regression: an infinite hint never left the grid-size loop, and nan was ignored
+@pytest.mark.parametrize(
+    "hint, x",
+    [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (1e8, 0.0), (1e300, 0.0), (None, 1e8)],
+    ids=["inf", "-inf", "nan", "1e8", "1e300", "x=1e8"],
+)
+def test_inversion_rejects_a_non_finite_freq_hint(hint, x):
+    # regression: an infinite hint never left the grid-size loop, and nan was
+    # ignored; a large hint or x sized the first grid past GAUSSIAN_MAX_POINTS
+    # (1e300 raised numpy's ValueError)
     def chf(t):
-        raise AssertionError("chf evaluated for a non-finite freq_hint")
+        raise AssertionError("chf evaluated for a freq_hint or x out of range")
 
     with pytest.raises(DomainError, match="freq_hint"):
-        lattice_inversion(chf, LatticeSpec(0.0, 1.0), 0.0, freq_hint=hint)
+        lattice_inversion(chf, LatticeSpec(0.0, 1.0), x, freq_hint=hint)
 
 
 def test_sparse_indices_stay_sparse():

@@ -93,14 +93,14 @@ def test_draws_same_for_any_chunk_height(monkeypatch):
     # a zero-width row (n = 1) has no edges to draw and no cliques
     zeros = sample_clique_counts(CliqueSpec(1, 3, 0.5), MCConfig(0, 5))
     assert zeros.dtype == np.int64 and zeros.tolist() == [0] * 5
-    # decoupling's Y rows on the golden configs (14 Y variables); a one-row
-    # chunk would take another BLAS kernel in the inner chf, so none is tried
+    # decoupling's Y rows (14 Y variables) on the golden configs, and on 15
+    # samples, whose last chunk of 2, 7 or 14 rows holds one lone row
     part = build_color_partition(5, 1, [3, 2])
-    for p, seed, samples, workers in ((0.5, 1, 2000, 1), (0.3, 4, 3000, 2)):
+    for p, seed, samples, workers in ((0.5, 1, 2000, 1), (0.3, 4, 3000, 2), (0.3, 4, 15, 1)):
         f = fr_function(CliqueSpec(n=5, r=3, p=p))
         mc = MCConfig(seed=seed, samples=samples, workers=workers)
         ref = decoupling_check(f, part, (0.5, 1.0, 2.0), mc)
-        for rows in (2, 7, 1000):
+        for rows in (2, 7, 14, 1000):
             assert with_rows(rows, 14, lambda: decoupling_check(f, part, (0.5, 1.0, 2.0), mc)) == ref
 
 
@@ -152,6 +152,9 @@ def test_empirical_chf_basics():
     assert est0.value == pytest.approx(1.0 + 0.0j)
     with pytest.raises(DomainError):
         empirical_chf_grid(np.array([1.0]), [1.0])
+    for t in (math.inf, -math.inf, math.nan):  # regression: a non-finite t gave a NaN estimate
+        with pytest.raises(DomainError, match="finite"):
+            empirical_chf_grid(vals, [0.5, t])
 
 
 def test_empirical_chf_grid_and_symmetry():
