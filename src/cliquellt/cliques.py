@@ -189,38 +189,28 @@ def count_cliques(g: GraphAssignment, r: int) -> int:
     return extend(full, r)
 
 
-def _upper_rows(edges: np.ndarray, n: int) -> np.ndarray:
-    """Packed upper-neighbour rows, shape (ceil(n/64), batch, n), dtype uint64.
+def _upper_rows(edges: np.ndarray, starts: np.ndarray, halves, buf: np.ndarray) -> np.ndarray:
+    """Packed upper-neighbour rows, shape (ceil(n/64), n, batch), dtype uint64.
 
-    Bit j % 64 of word j // 64 of row (s, i) (0-based vertices) is set iff
-    graph s has edge (i+1, j+1) and j > i.  Packed one row at a time, so the
-    temporaries stay a (batch, 64 * words) bool block.
+    Bit j % 64 of word j // 64 of row (i, s) (0-based vertices) is set iff
+    graph s has edge (i, j) and j > i.  Per word w and half of the rows,
+    ``buf`` takes each edge (i, j) times bit j % 64 if j // 64 == w, else 0,
+    and one reduceat sums the edges of row i, which start at starts[i], into
+    row i: a row's bits are distinct, so their sum is their OR.
     """
-    batch = edges.shape[0]
-    words = -(-n // 64)
-    up = np.zeros((words, batch, n), dtype=np.uint64)
-    row = np.zeros((batch, 64 * words), dtype=bool)
-    first = 0
-    for i in range(n - 1):  # the edges (i, j > i) are contiguous in canonical order
-        row[:, i] = False
-        row[:, i + 1 : n] = edges[:, first : first + n - 1 - i]
-        up[:, :, i] = np.packbits(row, axis=1, bitorder="little").view(np.dtype("<u8")).T
-        first += n - 1 - i
+    n = len(starts)
+    _, j = np.triu_indices(n, 1)
+    bit = np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
+    up = np.zeros((-(-n // 64), n, edges.shape[0]), dtype=np.uint64)
+    for w, u in enumerate(up):
+        weight = np.where(j // 64 == w, bit, np.uint64(0))
+        for a, b in halves:
+            lo, hi = starts[a], starts[b]
+            part = np.multiply(edges[:, lo:hi], weight[lo:hi], out=buf[:, : hi - lo])
+            # reduceat returns the element at a start equal to the next one, not an
+            # empty sum; the starts strictly increase because every row i <= n-2 has an edge
+            np.add.reduceat(part, starts[a:b] - lo, axis=1, out=u[a:b].T)
     return up
-
-
-def _edge_rows(edges: np.ndarray, up: np.ndarray):
-    """Per vertex i: the edges (i, j > i) as a (batch, n-1-i) view, and their
-    candidates up_i & up_j as one (batch, n-1-i) array per word.
-
-    Vertices n-2 and n-1 are skipped: up_(n-1) is empty, so their upper
-    edges have no candidate.
-    """
-    n = up.shape[2]
-    first = 0
-    for i in range(n - 2):
-        yield edges[:, first : first + n - 1 - i], [u[:, i : i + 1] & u[:, i + 1 :] for u in up]
-        first += n - 1 - i
 
 
 def _popcount(words: list[np.ndarray]) -> np.ndarray:
@@ -239,7 +229,7 @@ def _extend(sample: np.ndarray, cand: list[np.ndarray], up: np.ndarray, need: in
     candidate off the prefix of entries holding more than k, vectorised over
     that prefix.
     """
-    n = up.shape[2]
+    batch = up.shape[2]
     rows = up.reshape(len(up), -1)
     samples, cands = [sample[:0]], [[c[:0]] for c in cand]
     for word, held_bits in enumerate(cand):
@@ -252,7 +242,7 @@ def _extend(sample: np.ndarray, cand: list[np.ndarray], up: np.ndarray, need: in
             peel = bits[:active]
             low = peel & -peel
             s = sample_w[:active]
-            row = s * n + 64 * word + np.bitwise_count(low - 1)
+            row = (64 * word + np.bitwise_count(low - 1).astype(np.intp)) * batch + s
             ext = [c[:active] & np.take(r, row) for c, r in zip(cand_w, rows)]
             keep = np.flatnonzero(_popcount(ext) >= need)
             samples.append(s[keep])
@@ -266,11 +256,14 @@ def count_cliques_batch(edge_bits: np.ndarray, n: int, r: int) -> np.ndarray:
     """r-clique count of every graph in a batch; agrees with count_cliques per graph.
 
     ``edge_bits`` is a (batch, C(n,2)) 0/1 array in canonical edge order.  Each
-    clique is found once, in increasing vertex order, from a frontier of
-    (sample, candidate mask) pairs over packed upper-neighbour rows: it starts
-    at the present edges i<j with candidates up_i & up_j, grows one vertex per
+    clique is found once, in increasing vertex order, over packed
+    upper-neighbour rows.  The first level is a pair block per word, up_i & up_j
+    for every edge (i, j) and graph, filled half the rows at a time into the one
+    (about C(n,2)/2 by batch) buffer the packing used.  r = 3 sums the popcounts
+    of the present edges.  r >= 4 starts a frontier of (sample, candidate mask) pairs
+    at the present edges with at least r-2 candidates, grows it one vertex per
     level, vectorised over the frontier, and drops entries with too few
-    candidates left.  The last vertex is counted by popcount.
+    candidates left; the last vertex is counted by popcount.
     """
     if r < 3:
         raise DomainError(f"clique size must be >= 3, got r={r}")
@@ -281,21 +274,28 @@ def count_cliques_batch(edge_bits: np.ndarray, n: int, r: int) -> np.ndarray:
     batch = edges.shape[0]
     if r > n:
         return np.zeros(batch, dtype=np.int64)
-    up = _upper_rows(edges, n)
-    if r == 3:
-        per_edge = np.zeros((batch, n - 1), dtype=np.int64)  # column j - i - 1 of edge (i, j)
-        for present, cand in _edge_rows(edges, up):
-            for c in cand:
-                c *= present  # an absent edge closes no triangle
-                per_edge[:, : c.shape[1]] += np.bitwise_count(c)
-        return per_edge.sum(axis=1)
-    samples, cands = [], [[] for _ in up]
-    for present, cand in _edge_rows(edges, up):
-        sample, edge = np.nonzero(present & (_popcount(cand) >= r - 2))
-        samples.append(sample)
-        for out, c in zip(cands, cand):
-            out.append(c[sample, edge])
-    sample, cand = np.concatenate(samples), [np.concatenate(c) for c in cands]
+    # row i's edges (i, j > i) are contiguous in canonical order from starts[i]; the rows
+    # [0, h) and [h, n-1) hold about m/2 edges each, and the buffers hold one half
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    h = int(np.searchsorted(starts, m // 2))
+    halves = ((0, h), (h, n - 1))
+    cap = max(starts[h], m - starts[h])
+    scratch = np.empty(batch * cap, dtype=np.uint64)  # the packing buffer, then the pair block
+    up = _upper_rows(edges, starts, halves, scratch.reshape(batch, cap))
+    block = scratch.reshape(cap, batch)
+    common = np.zeros((m, batch), dtype=np.min_scalar_type(n))  # candidates of (edge, graph)
+    for u in up:
+        for a, b in halves:  # the pair block: u_i & u_j for each edge (i, j) of the half
+            lo = starts[a]
+            for i in range(a, b):
+                np.bitwise_and(u[i], u[i + 1 :], out=block[starts[i] - lo : starts[i + 1] - lo])
+            common[lo : starts[b]] += np.bitwise_count(block[: starts[b] - lo])
+    if r == 3:  # an absent edge closes no triangle; a graph's total is at most C(n,3)
+        common *= edges.T.view(np.uint8)
+        return common.sum(axis=0, dtype=np.min_scalar_type(binom(n, 3))).astype(np.int64)
+    edge, sample = np.nonzero((common >= r - 2) & edges.T)
+    i, j = (v[edge] for v in np.triu_indices(n, 1))
+    cand = [u[i, sample] & u[j, sample] for u in up]
     for need in range(r - 3, 0, -1):
         sample, cand = _extend(sample, cand, up, need)
     # float weights are exact: a per-graph total near 2^53 could not fit in memory

@@ -13,8 +13,10 @@ from .distributions import EmpiricalDistribution, LatticeSpec, chf_sum, phase_bl
 from .errors import DomainError
 
 
-# edge draws per chunk of MCConfig.edge_draws: a 1 MB block of doubles, so a
-# chunk's buffers stay within a typical per-core L2 cache whatever the width
+# edge draws per chunk of MCConfig.edge_draws: a 1 MB block of doubles.  The
+# clique kernel's pair block holds one uint64 per draw of half the edges, reused
+# for each word of a row, so it is about CHUNK_DRAWS / 2 words: whatever the
+# width, a chunk's buffers stay within a typical per-core L2 cache
 CHUNK_DRAWS = 1 << 17
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,17 @@ def test_summary_gives_median_and_iqr_per_workload():
 def test_summary_refuses_records_of_different_sources():
     with pytest.raises(ValueError, match="source_sha256"):
         bench_summary.summarise("x", [record(1, 1.0), record(2, 1.0, source="def")])
+
+
+@pytest.mark.parametrize("label", ["a/b", "", "../x", ".hidden", "-x"])
+def test_bad_label_exits_2_and_writes_nothing(label, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench_summary, "ROOT", tmp_path / "root")
+    (tmp_path / "root").mkdir()
+    rec = tmp_path / "rec.json"
+    rec.write_text(json.dumps(record(1, 1.0)))
+    assert bench_summary.main([label, str(rec)]) == 2
+    assert "label" in capsys.readouterr().err
+    assert not any((tmp_path / "root").iterdir())
+    # the label is checked before any record is read
+    assert bench_summary.main([label, str(tmp_path / "missing.json")]) == 2
+    assert "label" in capsys.readouterr().err

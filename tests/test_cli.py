@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -197,3 +198,28 @@ def test_readme_cli_block_parses_and_lists_each_subcommands_flags(capsys):
             build_parser().parse_args([name, "--help"])
         usage = capsys.readouterr().out
         assert set(re.findall(r"--[a-z-]+", usage)) == flags | {"--help", "--out", "--format"}
+
+
+GRID = ["--t-min", "0", "--t-max", "8", "--t-steps", "17"]
+ROW_DIGESTS = {  # sha256 prefix of each command's rows; the header is left out, as it carries the version
+    ("chf-scan", "--n", "30", "--r", "3", "--p", "0.5", "--samples", "20000", "--workers", "4", *GRID,
+     "--format", "json", "--seed", "1"): "87cf9e99a1dff196",
+    ("llt-verify", "--n", "10", "--r", "3", "--samples", "20000", "--seed", "1"): "7f922ad45332c80c",
+    ("chf-scan", "--n", "30", "--r", "4", "--p", "0.5", "--samples", "200", "--workers", "4", *GRID,
+     "--format", "json", "--seed", "1"): "4ab08d30c97a71d9",
+    ("chf-scan", "--n", "70", "--r", "4", "--samples", "300", "--workers", "2"): "c2533ccad138d5fd",  # two words per row
+}
+
+
+def _rows(out: str) -> str:
+    if out.startswith("{"):
+        payload = json.loads(out)
+        return json.dumps([payload["columns"], payload["rows"], payload.get("summary")])
+    return "\n".join(line for line in out.splitlines() if not line.startswith("# "))
+
+
+@pytest.mark.parametrize("argv", ROW_DIGESTS, ids=lambda argv: " ".join(argv[:5]))
+def test_monte_carlo_rows_keep_their_bits(argv, capsys):
+    code, out = run(list(argv), capsys)
+    assert code == 0
+    assert hashlib.sha256(_rows(out).encode()).hexdigest()[:16] == ROW_DIGESTS[argv]

@@ -14,6 +14,7 @@ from cliquellt import (
     DomainError,
     EdgeGround,
     GraphAssignment,
+    MCConfig,
     count_cliques,
     count_cliques_batch,
     covering_edge_subsets,
@@ -143,6 +144,29 @@ def test_batch_kernel_many_words():
             bits = sum(1 << int(idx) for idx in np.nonzero(row)[0])
             assert counted == count_cliques(GraphAssignment(ground, bits), r)
         assert counts[1] >= math.comb(7, r)
+
+
+@pytest.mark.parametrize(
+    "n, r, height, step",
+    [(30, 3, 301, 3), (30, 4, 301, 3), (10, 3, 2912, 7)],
+    ids=["n30-r3", "n30-r4", "n10-r3"],
+)
+def test_batch_kernel_at_real_chunk_heights(n, r, height, step):
+    # one full chunk of MCConfig.edge_draws, as sample_clique_counts passes it; every step-th row checked
+    ground = EdgeGround(n)
+    edges = next(MCConfig(seed=n + r, samples=height).edge_draws(ground.size, 0.5))
+    assert edges.shape == (height, ground.size)
+    counts = count_cliques_batch(edges, n, r)
+    for row, counted in zip(edges[::step], counts[::step]):
+        bits = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        assert counted == count_cliques(GraphAssignment(ground, bits), r)
+    assert counts.any()
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_batch_kernel_empty_batch(r):
+    counts = count_cliques_batch(np.zeros((0, EdgeGround(30).size), dtype=bool), 30, r)
+    assert counts.dtype == np.int64 and counts.shape == (0,)
 
 
 def test_batch_kernel_complete_empty_and_errors():

@@ -9,18 +9,22 @@ metric's median, quartiles and IQR over the runs, the seeds and the failed
 op count.  The provenance the runs share (commit, sha256 of the sources,
 nproc, CPU, Python, numpy) is checked and written once: records of
 different source trees or hosts are refused.  The summary goes to
-``BENCH_<label>.json`` at the root of the checkout.
+``BENCH_<label>.json`` at the root of the checkout; a label that is not a
+plain file-name part (letters, digits, ``.``, ``_``, ``-``, not starting
+with ``.`` or ``-``) exits 2 before any record is read.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHARED = ("git_commit", "source_sha256", "nproc", "cpu_model", "python", "numpy")
+LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")  # names one file at the root, never a path
 
 
 def spread(values: list[float]) -> dict:
@@ -59,6 +63,9 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     label, paths = argv[0], argv[1:]
+    if not LABEL.fullmatch(label):
+        print(f"bench_summary: label {label!r} must match {LABEL.pattern}", file=sys.stderr)
+        return 2
     try:
         summary = summarise(label, [json.loads(Path(p).read_text()) for p in paths])
     except (OSError, ValueError, KeyError) as exc:
