@@ -189,28 +189,49 @@ def count_cliques(g: GraphAssignment, r: int) -> int:
     return extend(full, r)
 
 
-def _upper_rows(edges: np.ndarray, starts: np.ndarray, halves, buf: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _row_plan(n: int) -> tuple:
+    """What count_cliques_batch needs of n alone, built once per n; arrays read-only.
+
+    (starts, halves, cap, tri_i, tri_j, q, sh, keep): row i's edges (i, j > i) are
+    contiguous in canonical order from starts[i]; the rows [0, h) and [h, n-1) of
+    ``halves`` hold about C(n,2)/2 edges each, ``cap`` at most; tri_i, tri_j is
+    np.triu_indices(n, 1).  Where bit 64 + e of a stream is edge e, edge (i, j) is
+    bit starts[i] - i + j + 63, so word w of row i (entry w * n + i) is the stream's
+    64 bits from bit 64 q + sh, where j = 64w lands, kept where i < j < n by ``keep``.
+    """
+    m = n * (n - 1) // 2
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    h = int(np.searchsorted(starts, m // 2))
+    w, i = np.divmod(np.arange(-(-n // 64) * n), n)
+    q, sh = np.divmod(starts[i] - i + 64 * w + 63, 64)  # at most m + 63, as 64w < n
+    col = 64 * w[:, None] + np.arange(64)  # the column j of each bit of the word
+    keep = np.packbits((i[:, None] < col) & (col < n), axis=1, bitorder="little").view("<u8")
+    tri_i, tri_j = np.triu_indices(n, 1)
+    sh = sh.astype(np.uint64)[:, None]
+    for arr in (starts, tri_i, tri_j, q, sh, keep):
+        arr.flags.writeable = False
+    return starts, ((0, h), (h, n - 1)), int(max(starts[h], m - starts[h])), tri_i, tri_j, q, sh, keep
+
+
+def _upper_rows(edges: np.ndarray, n: int) -> np.ndarray:
     """Packed upper-neighbour rows, shape (ceil(n/64), n, batch), dtype uint64.
 
     Bit j % 64 of word j // 64 of row (i, s) (0-based vertices) is set iff
-    graph s has edge (i, j) and j > i.  Per word w and half of the rows,
-    ``buf`` takes each edge (i, j) times bit j % 64 if j // 64 == w, else 0,
-    and one reduceat sums the edges of row i, which start at starts[i], into
-    row i: a row's bits are distinct, so their sum is their OR.
+    graph s has edge (i, j) and j > i.  Each word is a 64-bit field of one
+    little-endian packbits stream of the graph's edges, read with two aligned
+    word gathers and masked to the row's columns (see _row_plan).
     """
-    n = len(starts)
-    _, j = np.triu_indices(n, 1)
-    bit = np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
-    up = np.zeros((-(-n // 64), n, edges.shape[0]), dtype=np.uint64)
-    for w, u in enumerate(up):
-        weight = np.where(j // 64 == w, bit, np.uint64(0))
-        for a, b in halves:
-            lo, hi = starts[a], starts[b]
-            part = np.multiply(edges[:, lo:hi], weight[lo:hi], out=buf[:, : hi - lo])
-            # reduceat returns the element at a start equal to the next one, not an
-            # empty sum; the starts strictly increase because every row i <= n-2 has an edge
-            np.add.reduceat(part, starts[a:b] - lo, axis=1, out=u[a:b].T)
-    return up
+    *_, q, sh, keep = _row_plan(n)
+    packed = np.packbits(edges, axis=1, bitorder="little")
+    # a zero word before the edges, and one after the last word a field starts in
+    stream = np.zeros((len(edges), 8 * (n * (n - 1) // 128 + 3)), dtype=np.uint8)
+    stream[:, 8 : 8 + packed.shape[1]] = packed
+    v = np.ascontiguousarray(stream.view("<u8").T)
+    rows = v[q] >> sh
+    rows |= (v[q + 1] << (np.uint64(63) - sh)) << np.uint64(1)
+    rows &= keep
+    return rows.reshape(len(q) // n, n, len(edges))
 
 
 def _popcount(words: list[np.ndarray]) -> np.ndarray:
@@ -257,9 +278,9 @@ def count_cliques_batch(edge_bits: np.ndarray, n: int, r: int) -> np.ndarray:
 
     ``edge_bits`` is a (batch, C(n,2)) 0/1 array in canonical edge order.  Each
     clique is found once, in increasing vertex order, over packed
-    upper-neighbour rows.  The first level is a pair block per word, up_i & up_j
-    for every edge (i, j) and graph, filled half the rows at a time into the one
-    (about C(n,2)/2 by batch) buffer the packing used.  r = 3 sums the popcounts
+    upper-neighbour rows (_upper_rows).  The first level is a pair block per word,
+    up_i & up_j for every edge (i, j) and graph, filled half the rows at a time
+    into one (about C(n,2)/2 by batch) buffer.  r = 3 sums the popcounts
     of the present edges.  r >= 4 starts a frontier of (sample, candidate mask) pairs
     at the present edges with at least r-2 candidates, grows it one vertex per
     level, vectorised over the frontier, and drops entries with too few
@@ -274,15 +295,9 @@ def count_cliques_batch(edge_bits: np.ndarray, n: int, r: int) -> np.ndarray:
     batch = edges.shape[0]
     if r > n:
         return np.zeros(batch, dtype=np.int64)
-    # row i's edges (i, j > i) are contiguous in canonical order from starts[i]; the rows
-    # [0, h) and [h, n-1) hold about m/2 edges each, and the buffers hold one half
-    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    h = int(np.searchsorted(starts, m // 2))
-    halves = ((0, h), (h, n - 1))
-    cap = max(starts[h], m - starts[h])
-    scratch = np.empty(batch * cap, dtype=np.uint64)  # the packing buffer, then the pair block
-    up = _upper_rows(edges, starts, halves, scratch.reshape(batch, cap))
-    block = scratch.reshape(cap, batch)
+    starts, halves, cap, tri_i, tri_j, *_ = _row_plan(n)
+    up = _upper_rows(edges, n)
+    block = np.empty((cap, batch), dtype=np.uint64)  # the pair block of one half of the rows
     common = np.zeros((m, batch), dtype=np.min_scalar_type(n))  # candidates of (edge, graph)
     for u in up:
         for a, b in halves:  # the pair block: u_i & u_j for each edge (i, j) of the half
@@ -294,7 +309,7 @@ def count_cliques_batch(edge_bits: np.ndarray, n: int, r: int) -> np.ndarray:
         common *= edges.T.view(np.uint8)
         return common.sum(axis=0, dtype=np.min_scalar_type(binom(n, 3))).astype(np.int64)
     edge, sample = np.nonzero((common >= r - 2) & edges.T)
-    i, j = (v[edge] for v in np.triu_indices(n, 1))
+    i, j = tri_i[edge], tri_j[edge]
     cand = [u[i, sample] & u[j, sample] for u in up]
     for need in range(r - 3, 0, -1):
         sample, cand = _extend(sample, cand, up, need)

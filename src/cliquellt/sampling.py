@@ -14,9 +14,10 @@ from .errors import DomainError
 
 
 # edge draws per chunk of MCConfig.edge_draws: a 1 MB block of doubles.  The
-# clique kernel's pair block holds one uint64 per draw of half the edges, reused
-# for each word of a row, so it is about CHUNK_DRAWS / 2 words: whatever the
-# width, a chunk's buffers stay within a typical per-core L2 cache
+# clique kernel packs the draws one bit each, and its one scratch buffer, the
+# pair block, holds one uint64 per draw of half the edges, reused for each word
+# of a row, so it is about CHUNK_DRAWS / 2 words: whatever the width, a chunk's
+# buffers stay within a typical per-core L2 cache
 CHUNK_DRAWS = 1 << 17
 
 

@@ -1,22 +1,31 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_summary", Path(__file__).resolve().parents[1] / "tools" / "bench_summary.py"
-)
-bench_summary = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_summary)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def record(seed, ops_per_s, *, workload="exact-lab", source="abc", failed=0):
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # bench_pairs imports bench_summary by name, as it does when run from tools/
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_summary = _load("bench_summary")
+bench_pairs = _load("bench_pairs")
+
+
+def record(seed, ops_per_s, *, workload="exact-lab", source="abc", failed=0, **metrics):
     prov = {
         "workload": workload, "seed": seed, "traced": False, "git_commit": None, "source_sha256": source,
         "nproc": 2, "cpu_model": "cpu", "python": "3.11", "numpy": "2.4",
     }
-    return {"provenance": prov, "metrics": {"ops_per_s": ops_per_s}, "failed": failed, "attempted": 48}
+    return {"provenance": prov, "metrics": {"ops_per_s": ops_per_s, **metrics}, "failed": failed, "attempted": 48}
 
 
 def test_summary_gives_median_and_iqr_per_workload():
@@ -48,3 +57,51 @@ def test_bad_label_exits_2_and_writes_nothing(label, tmp_path, capsys, monkeypat
     # the label is checked before any record is read
     assert bench_summary.main([label, str(tmp_path / "missing.json")]) == 2
     assert "label" in capsys.readouterr().err
+
+
+def _write(tmp_path, name, records):
+    paths = []
+    for rec in records:
+        path = tmp_path / f"{name}-{rec['provenance']['workload']}-{rec['provenance']['seed']}.json"
+        path.write_text(json.dumps(rec))
+        paths.append(str(path))
+    return paths
+
+
+def test_pairs_apply_the_claim_rule_in_each_metrics_direction(tmp_path, capsys):
+    # parent ops_per_s 7.0..7.9 (IQR 0.45); the change wins 9 of 10 pairs by about 1.0
+    parent = [record(s, 7.0 + 0.1 * s, workload="mc-triangles", source="old", op_p50_s=0.1) for s in range(10)]
+    change = [record(s, 8.0 + 0.1 * s, workload="mc-triangles", source="new", op_p50_s=0.1 - 0.001 * s)
+              for s in range(10)]
+    change[3]["metrics"]["ops_per_s"] = 7.0
+    groups = bench_pairs.pair(parent, change)
+    assert list(groups) == ["mc-triangles"] and len(groups["mc-triangles"]) == 10
+    ops = bench_pairs.compare(groups["mc-triangles"], "ops_per_s", "higher")
+    assert ops["wins"] == 9 and ops["parent"] == bench_summary.spread([7.0 + 0.1 * s for s in range(10)])
+    assert ops["gap"] == pytest.approx(1.0) and ops["claim"]
+    # lower is better for op_p50_s, and the seed-0 tie counts for neither side
+    p50 = bench_pairs.compare(groups["mc-triangles"], "op_p50_s", "lower")
+    assert p50["wins"] == 9 and p50["gap"] == pytest.approx(0.0045) and p50["claim"]
+    # fewer than ten pairs, or a win in every pair by less than the parent's IQR, claim nothing
+    assert not bench_pairs.compare(groups["mc-triangles"][:9], "ops_per_s", "higher")["claim"]
+    close = [(p, dict(c, metrics={"ops_per_s": p["metrics"]["ops_per_s"] + 0.05})) for p, c in groups["mc-triangles"]]
+    row = bench_pairs.compare(close, "ops_per_s", "higher")
+    assert row["wins"] == 10 and not row["claim"]
+
+    argv = [*_write(tmp_path, "parent", parent), "--", *_write(tmp_path, "change", change)]
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "ops_per_s (higher is better)" in out and "op_p50_s (lower is better)" in out
+    assert out.count("wins 9/10") == 2 and out.count("claim holds") == 2
+
+
+def test_pairs_refuse_unpaired_and_mixed_records(tmp_path, capsys):
+    parent = _write(tmp_path, "parent", [record(1, 1.0), record(2, 1.0)])
+    change = _write(tmp_path, "change", [record(1, 2.0, source="new")])
+    assert bench_pairs.main([*parent, "--", *change]) == 2
+    assert "no partner for exact-lab seed 2" in capsys.readouterr().err
+    mixed = _write(tmp_path, "mixed", [record(1, 2.0, source="new"), record(2, 2.0, source="other")])
+    assert bench_pairs.main([*parent, "--", *mixed]) == 2
+    assert "source_sha256" in capsys.readouterr().err
+    for argv in ([*parent, *change], ["--", *change], [*parent, "--"]):
+        assert bench_pairs.main(argv) == 2

@@ -150,6 +150,15 @@ def test_library_error_is_one_line_on_stderr_and_exit_2(argv):
     assert "Traceback" not in run.stderr
 
 
+def test_python_dash_m_runs_the_program(capsys):
+    argv = ["moments", "--n", "6", "--r", "3"]
+    _, expected = run(argv, capsys)
+    env = dict(os.environ, PYTHONPATH=str(Path(cliquellt.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cliquellt", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == expected
+
+
 @pytest.mark.parametrize(
     "argv, keys, foreign",
     [

@@ -169,6 +169,45 @@ def test_batch_kernel_empty_batch(r):
     assert counts.dtype == np.int64 and counts.shape == (0,)
 
 
+def _rows_bit_by_bit(edges, n):
+    # bit j % 64 of word j // 64 of row (i, s) is set iff graph s has edge (i, j), j > i
+    ground = EdgeGround(n)
+    up = np.zeros((-(-n // 64), n, len(edges)), dtype=np.uint64)
+    for i, j in itertools.combinations(range(n), 2):
+        up[j // 64, i] |= edges[:, ground.index(i + 1, j + 1)].astype(np.uint64) << np.uint64(j % 64)
+    return up
+
+
+@pytest.mark.parametrize("n", [3, 4, 63, 64, 65, 127, 128, 129, 300])
+def test_packed_rows_bit_by_bit(n):
+    edges = np.random.default_rng(n).random((37, EdgeGround(n).size)) < 0.5
+    edges[0] = True  # every row full up to the last word's last column
+    expected = _rows_bit_by_bit(edges, n)
+    for batch in (0, 1, 37):
+        part = edges[:batch]
+        for layout in (part, np.asfortranarray(part), np.repeat(part, 2, axis=1)[:, ::2]):
+            up = cliques._upper_rows(layout, n)
+            assert up.dtype == np.uint64 and up.shape == expected[:, :, :batch].shape
+            assert np.array_equal(up, expected[:, :, :batch])
+    # a 0/1 uint8 array counts as the equal bool array (r = 4 on two random graphs: K_300 has C(300, 4))
+    for r, part in ((3, edges), (4, edges[1:3])):
+        assert np.array_equal(count_cliques_batch(part.view(np.uint8), n, r), count_cliques_batch(part, n, r))
+
+
+def test_row_plan_is_built_once_per_n_and_read_only():
+    cliques._row_plan.cache_clear()
+    edges = np.random.default_rng(4).random((5, EdgeGround(17).size)) < 0.6
+    for r in (3, 4, 5):
+        count_cliques_batch(edges, 17, r)
+    assert cliques._row_plan.cache_info().misses == 1
+    count_cliques_batch(np.zeros((2, EdgeGround(18).size), dtype=bool), 18, 3)
+    assert cliques._row_plan.cache_info().misses == 2
+    arrays = [a for a in cliques._row_plan(17) if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 4 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][0] = 1
+
+
 def test_batch_kernel_complete_empty_and_errors():
     for n, r in ((5, 3), (5, 4), (9, 6), (65, 3)):
         m = EdgeGround(n).size

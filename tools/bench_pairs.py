@@ -1,0 +1,99 @@
+"""Compare perfbench runs of a parent and a change, pair by pair.
+
+    python3 tools/bench_pairs.py PARENT_RECORDS... -- CHANGE_RECORDS...
+
+Each record is one that ``perfbench/run.py`` wrote under ``perfbench/out/``
+in a checkout of that side.  Records are paired by (workload, seed, traced);
+every record needs exactly one partner on the other side, and each side must
+come from one source tree on one host (as ``bench_summary.py`` requires).
+Each metric's direction is the ``better`` that ``BENCHMARK.json`` declares
+for it.  Per workload and metric the report gives each side's median
+[q1, q3], how many pairs the change won (a tie counts for neither) and the
+claim rule: the change wins at least nine tenths of at least ten pairs, and
+its median beats the parent's by more than the parent's IQR.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from bench_summary import ROOT, spread, summarise
+
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
+
+
+def directions(benchmark: dict) -> dict[str, str]:
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+
+
+def pair(parent: list[dict], change: list[dict]) -> dict[str, list[tuple[dict, dict]]]:
+    """(parent, change) record pairs per workload, in seed order."""
+    sides = []
+    for records in (parent, change):
+        keyed = {}
+        for rec in records:
+            prov = rec["provenance"]
+            key = (prov["workload"] + ("-traced" if prov["traced"] else ""), prov["seed"])
+            if key in keyed:
+                raise ValueError(f"two records of {key[0]} seed {key[1]} on one side")
+            keyed[key] = rec
+        sides.append(keyed)
+    unpaired = sorted(set(sides[0]) ^ set(sides[1]))
+    if unpaired:
+        raise ValueError(f"no partner for {unpaired[0][0]} seed {unpaired[0][1]}")
+    groups: dict[str, list[tuple[dict, dict]]] = {}
+    for key in sorted(sides[0]):
+        groups.setdefault(key[0], []).append((sides[0][key], sides[1][key]))
+    return groups
+
+
+def compare(pairs: list[tuple[dict, dict]], metric: str, better: str) -> dict:
+    """Each side's spread, the change's paired wins and whether a gain may be claimed."""
+    sign = 1.0 if better == "higher" else -1.0
+    before = [p["metrics"][metric] for p, _ in pairs]
+    after = [c["metrics"][metric] for _, c in pairs]
+    wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
+    parent, change = spread(before), spread(after)
+    gap = sign * (change["median"] - parent["median"])
+    claim = len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs) and gap > parent["iqr"]
+    return {"parent": parent, "change": change, "wins": wins, "pairs": len(pairs), "gap": gap, "claim": claim}
+
+
+def report(groups: dict[str, list[tuple[dict, dict]]], better: dict[str, str]) -> list[str]:
+    side = "{median:.6g} [{q1:.6g}, {q3:.6g}]".format
+    lines = []
+    for workload, pairs in groups.items():
+        lines.append(f"{workload}: {len(pairs)} pairs, seeds {[p['provenance']['seed'] for p, _ in pairs]}")
+        for metric in pairs[0][0]["metrics"]:
+            row = compare(pairs, metric, better[metric])
+            lines.append(
+                f"  {metric} ({better[metric]} is better): parent {side(**row['parent'])}"
+                f" -> change {side(**row['change'])}, wins {row['wins']}/{row['pairs']},"
+                f" gap {row['gap']:+.6g} vs parent IQR {row['parent']['iqr']:.6g},"
+                f" claim {'holds' if row['claim'] else 'does not hold'}"
+            )
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv.count("--") != 1 or argv.index("--") in (0, len(argv) - 1):
+        print(__doc__, file=sys.stderr)
+        return 2
+    split = argv.index("--")
+    try:
+        sides = [[json.loads(Path(p).read_text()) for p in paths] for paths in (argv[:split], argv[split + 1 :])]
+        for label, records in zip(("parent", "change"), sides):
+            summarise(label, records)  # refuses records of different sources or hosts
+        lines = report(pair(*sides), directions(json.loads((ROOT / "BENCHMARK.json").read_text())))
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
