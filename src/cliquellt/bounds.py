@@ -65,8 +65,9 @@ def bernoulli_chf_exact(t: float, p: float, variant: str = "chi") -> float:
         return abs(p * cmath.exp(1j * t) + (1.0 - p))
     if variant == "chi":
         hi, lo = _chi_values(p)
-        if math.isinf(t * hi):
-            raise DomainError(f"t * chi = {t} * {hi:.6g} is past the float range")
+        for chi in (hi, lo):  # |lo| > hi when p > 1/2
+            if math.isinf(t * chi):
+                raise DomainError(f"t * chi = {t} * {chi:.6g} is past the float range")
         return abs(p * cmath.exp(1j * t * hi) + (1.0 - p) * cmath.exp(1j * t * lo))
     raise DomainError(f"unknown variant {variant!r}, expected one of {BERNOULLI_VARIANTS}")
 

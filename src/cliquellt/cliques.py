@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import EmpiricalDistribution, LatticeSpec
 from .errors import CapacityError, DomainError
 from .ground import EdgeGround, GraphAssignment, binom, support_vertices
-from .pbf import TABLE_EDGE_CAP, PBFunction, _butterfly, _mask, popcount_array
+from .pbf import BUTTERFLY_BLOCK_BYTES, TABLE_EDGE_CAP, PBFunction, _butterfly, _mask, popcount_array
 
 EXACT_DISTRIBUTION_EDGE_CAP = TABLE_EDGE_CAP  # the name the benchmark's workloads read
 
@@ -335,23 +335,35 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
     """f_r(g) for every assignment bitmask g in [0, 2^C(n,2)), as a uint8 array.
 
     The zeta (subset-sum) transform of the clique-mask indicator: per edge,
-    the butterfly pass v1 += v0 adds every graph without the edge into the
-    same graph with it, so g ends up counting the clique masks inside g.
-    uint8 cannot wrap here, since every partial sum is at most C(n, r), and
-    under the 21-edge TABLE_EDGE_CAP C(n, r) <= C(7, 3) = 35.  Callers that
-    scale or square the counts must cast them first.
+    v1 += v0 adds every graph without the edge into the same graph with it,
+    so g ends up counting the clique masks inside g.  The passes run on the
+    table as little-endian uint64 words of 8 counts, graph g in byte g % 8 of
+    word g // 8: edges 0-2 inside each word, by shifting the bytes without
+    the edge onto those with it, and edges 3..m-1 as whole-word butterfly
+    passes.  No byte carries into the next, and uint8 cannot wrap, since
+    every partial sum is at most C(n, r), and under the 21-edge
+    TABLE_EDGE_CAP C(n, r) <= C(7, 3) = 35.  Callers that scale or square
+    the counts must cast them first.
     """
     ground = EdgeGround(n)
     m = ground.size
     if m > TABLE_EDGE_CAP:
         raise CapacityError(f"exhaustive enumeration capped at {TABLE_EDGE_CAP} edges, got {m}")
-    counts = np.zeros(1 << m, dtype=np.uint8)
+    counts = np.zeros(max(1 << m, 8), dtype=np.uint8)  # at least one word
     counts[clique_edge_masks(ground, r)] = 1
+    words = counts.view("<u8")
+    tmp = np.empty(min(words.size, BUTTERFLY_BLOCK_BYTES // words.itemsize), dtype=words.dtype)
+    for block in words.reshape(-1, tmp.size):  # one cache-sized block at a time
+        for e, without in enumerate((0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)[:m]):
+            np.bitwise_and(block, np.uint64(without), out=tmp)  # the bytes of graphs without edge e
+            tmp <<= np.uint64(8 << e)
+            block += tmp
 
     def step(v0, v1, tmp):
         v1 += v0
 
-    return _butterfly(counts, m, step)
+    _butterfly(words, max(m - 3, 0), step)
+    return counts[: 1 << m]
 
 
 def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
@@ -365,7 +377,7 @@ def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
     """
     m = spec.ground.size
     counts = counts_over_all_graphs(spec.n, spec.r)
-    key = counts.astype(np.intp)  # c * (m+1) + k would wrap in uint8
+    key = counts.astype(np.uint16)  # c * (m+1) + k <= 35 * 22 + 21 would wrap in uint8
     key *= m + 1
     key += popcount_array(m)
     hist = np.bincount(key, minlength=(int(counts.max()) + 1) * (m + 1)).reshape(-1, m + 1)

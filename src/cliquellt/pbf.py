@@ -22,7 +22,6 @@ PRUNE_TOL = 1e-14
 # chfs): at m = 21 one float64 table is 16 MB, and each edge more doubles it.
 TABLE_EDGE_CAP = 21
 BUTTERFLY_BLOCK_BYTES = 1 << 19  # one block of a butterfly pass stays in L2
-BUTTERFLY_LOW_EDGES = 5  # edges a block takes on its transposed copy
 
 
 def _mask(edges: Iterable[int]) -> int:
@@ -261,44 +260,63 @@ def assignment_weights(m: int, p: float) -> np.ndarray:
 
 
 def popcount_array(m: int) -> np.ndarray:
-    """popcount of every integer in [0, 2^m), as a uint8 array."""
-    return np.bitwise_count(np.arange(1 << m, dtype=np.uint32))
+    """popcount of every integer in [0, 2^m), as a uint8 array.
+
+    Built by doubling: the integers in [2^k, 2^(k+1)) are those below 2^k with
+    bit k set, so each has one more bit.
+    """
+    pc = np.zeros(1 << m, dtype=np.uint8)
+    for k in range(m):
+        np.add(pc[: 1 << k], 1, out=pc[1 << k : 2 << k])
+    return pc
 
 
 def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
     """Apply a per-edge 2x2 step to a table of length 2^m, in place.
 
     Every entry gets edges 0..m-1 in order, as in a plain pass per edge, so
-    the bits do not depend on how the table is cut.  The passes run on
-    cache-sized pieces (BUTTERFLY_BLOCK_BYTES) instead of the whole table:
-    a block of 2^b contiguous entries takes edges 0..b-1, its lowest
-    BUTTERFLY_LOW_EDGES on a transposed copy, so that in a full block no pass
-    works on runs shorter than 32 bytes; edges b..m-1 then run on copied
-    column strips of the table viewed as (2^(m-b), 2^b).
+    the bits do not depend on how the table is cut.  A pass on edge e at
+    position j of a flat array works on contiguous runs of 2^j entries, and
+    numpy copies any run shorter than 2^R = np.getbufsize() // 2 entries
+    through its ufunc buffer.  So every pass runs at a position of at least R
+    (or on the two halves of a table too small for that), on cache-sized
+    pieces of the table (BUTTERFLY_BLOCK_BYTES, at least 2^(R+1) entries):
+
+    - a block of 2^b contiguous entries takes edges 0..b-1, max(b - R, 1) at
+      a time: each group is brought to the top positions of the block by a
+      rotation, a transposed copy that ping-pongs between two buffers, the
+      last rotation writing back into the block;
+    - edges b..m-1 then run on copied column strips, 2^R columns wide, of the
+      table viewed as (2^(m-b), 2^b).
 
     ``step(v0, v1, tmp)`` gets matching views of entries with edge e's bit 0
     and 1, and a scratch array of their shape; it overwrites v0 and v1 with
     their new values, entry by entry.
     """
-    b = min(m, (BUTTERFLY_BLOCK_BYTES // v.itemsize).bit_length() - 1)
-    lo = min(b, BUTTERFLY_LOW_EDGES)
-    buf = np.empty(1 << max(b, m - b), dtype=v.dtype)  # a block, or a strip
-    tmp = np.empty(buf.size >> 1, dtype=v.dtype)
-    flipped = buf[: 1 << b].reshape(1 << lo, 1 << (b - lo))  # flipped[j, i] = block[i * 2^lo + j]
+    floor = (np.getbufsize() // 2).bit_length() - 1  # R; numpy's bufsize is at least 16
+    b = min(m, max((BUTTERFLY_BLOCK_BYTES // v.itemsize).bit_length() - 1, floor + 1))
+    per = max(b - floor, 1)  # edges per rotation
+    groups = [min(per, b - a) for a in range(0, b, per)]
+    strip = 1 << (m - b + floor) if m > b else 0  # entries of a strip
+    bufs = [np.empty(max(1 << b, strip), dtype=v.dtype)]
+    if len(groups) > 2:  # a second block to ping-pong with
+        bufs.append(np.empty(1 << b, dtype=v.dtype))
+    tmp = np.empty(bufs[0].size >> 1, dtype=v.dtype)
     for block in v.reshape(-1, 1 << b):
-        grid = block.reshape(1 << (b - lo), 1 << lo)
-        np.copyto(flipped, grid.T)
-        _passes(flipped.reshape(-1), range(b - lo, b), step, tmp)
-        np.copyto(grid, flipped.T)
-        _passes(block, range(lo, b), step, tmp)
+        src = block
+        for i, k in enumerate(groups):
+            dst = block if i == len(groups) - 1 else bufs[i % 2][: 1 << b]
+            # rotate by k: position j goes to (j - k) mod b (k = b only for a lone group, in place)
+            np.copyto(dst.reshape(1 << k, 1 << (b - k)), src.reshape(1 << (b - k), 1 << k).T)
+            _passes(dst, range(b - k, b), step, tmp)
+            src = dst
     if m > b:
-        width = max(2 * b - m, 0)  # a strip of 2^width columns holds 2^max(b, m-b) entries
         rows = v.reshape(1 << (m - b), 1 << b)
-        strip = buf[: 1 << (m - b + width)].reshape(1 << (m - b), 1 << width)
-        for c in range(0, 1 << b, 1 << width):
-            np.copyto(strip, rows[:, c : c + (1 << width)])
-            _passes(strip.reshape(-1), range(width, width + m - b), step, tmp)
-            np.copyto(rows[:, c : c + (1 << width)], strip)
+        cols = bufs[0][:strip].reshape(1 << (m - b), 1 << floor)
+        for c in range(0, 1 << b, 1 << floor):
+            np.copyto(cols, rows[:, c : c + (1 << floor)])
+            _passes(cols.reshape(-1), range(floor, floor + m - b), step, tmp)
+            np.copyto(rows[:, c : c + (1 << floor)], cols)
     return v
 
 

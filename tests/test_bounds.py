@@ -214,6 +214,13 @@ def test_bounds_return_a_float_or_a_domain_error(
     _finite_inf_or_domain_error(lambda: mainchf_bound(BoundParams(ell, d % 8 + 1, t * t_share, *params, lam)))
 
 
+def test_chi_chf_of_a_t_past_the_range_at_the_low_value_is_a_domain_error():
+    # for p > 1/2 the x_e = 0 value of chi_e is the larger in size, so t * lo
+    # overflows while t * hi is still finite
+    with pytest.raises(DomainError):
+        bernoulli_chf_exact(-1e308, 1 - 1e-16, "chi")
+
+
 def make_mainchf_instance(p=0.5, ell=2):
     spec = CliqueSpec(n=5, r=3, p=p)
     f = fr_function(spec)

@@ -459,6 +459,16 @@ def test_counts_over_all_graphs_against_mask_loop(n):
     assert not counts_over_all_graphs(n, n + 1).any()
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 7])
+def test_counts_over_all_graphs_under_a_small_bufsize(n):
+    # a run floor of 2^5 words: the word butterfly takes uneven rotations, and strips at n = 7
+    old = np.setbufsize(64)
+    try:
+        test_counts_over_all_graphs_against_mask_loop(n)
+    finally:
+        np.setbufsize(old)
+
+
 def _fraction_law(n, r, p):
     """Exact law of f_r: the weight q^k (1-q)^(m-k) of every graph, q = Fraction(p)
     exactly, summed by clique count (graphs with equal count and edge count at once)."""

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import pickle
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -317,6 +318,13 @@ def test_popcount_and_weights():
     assert np.array_equal(w, 0.3**pops * (1 - 0.3) ** (6 - pops))
 
 
+def test_popcount_array_is_bitwise_count_up_to_the_cap():
+    for m in range(pbf.TABLE_EDGE_CAP + 1):
+        pops = popcount_array(m)
+        assert pops.dtype == np.uint8
+        assert np.array_equal(pops, np.bitwise_count(np.arange(1 << m))), m
+
+
 def test_ground_mismatch_rejected():
     f = PBFunction.chi(EdgeGround(4), 0.5, [0])
     g = PBFunction.chi(EdgeGround(5), 0.5, [0])
@@ -336,6 +344,57 @@ def test_butterfly_pairs_every_entry_with_its_edge_flip(monkeypatch, dtype):
         _butterfly(v, m, lambda v0, v1, tmp: pairs.extend(zip(v0.ravel().tolist(), v1.ravel().tolist())))
         assert sorted(pairs) == want
         assert np.array_equal(v, np.arange(1 << m))
+
+
+@contextmanager
+def _bufsize(size):
+    """numpy's ufunc buffer at ``size`` entries inside the with block; None keeps it as it is."""
+    old = np.getbufsize()
+    try:
+        if size is not None:
+            np.setbufsize(size)
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+SMALL_BUFSIZES = (16, 64)  # run floors of 2^3 and 2^5 entries: an m = 8 table takes several rotations
+
+
+@pytest.mark.parametrize("bufsize", SMALL_BUFSIZES)
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_butterfly_pairs_every_entry_with_its_edge_flip_under_a_small_bufsize(monkeypatch, dtype, bufsize):
+    with _bufsize(bufsize):
+        test_butterfly_pairs_every_entry_with_its_edge_flip(monkeypatch, dtype)
+
+
+def _contiguous_run(a):
+    """Entries in each contiguous run of an array view: its trailing dims that are dense."""
+    run = 1
+    for size, stride in zip(a.shape[::-1], a.strides[::-1]):
+        if size != 1 and stride != run * a.itemsize:
+            break
+        run *= size
+    return run
+
+
+@pytest.mark.parametrize("bufsize", (None,) + SMALL_BUFSIZES)
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.float64])
+def test_every_butterfly_pass_runs_at_or_above_the_buffer_floor(dtype, bufsize):
+    # numpy copies an operand through its ufunc buffer when its runs are shorter
+    # than half the buffer; every pass is to run on the whole half-table or longer
+    with _bufsize(bufsize):
+        floor = np.getbufsize() // 2
+        for m in (0, 1, 2, 5, 8, 12, 13, 14, 17, 19, 21):
+            runs, pairs = [], []
+
+            def step(v0, v1, tmp):
+                runs.extend((_contiguous_run(v0), _contiguous_run(v1)))
+                pairs.append(v0.size)
+
+            _butterfly(np.zeros(1 << m, dtype=dtype), m, step)
+            assert sum(pairs) == m << max(m - 1, 0)  # each edge pairs every entry once
+            assert min(runs, default=floor) >= min(floor, 1 << max(m - 1, 0)), (m, min(runs))
 
 
 def _edge_halves(v, m):
@@ -388,6 +447,13 @@ def test_blocked_butterfly_keeps_the_bits_of_the_per_edge_loop(m):
             ref[sum(1 << e for e in S)] = c
         _per_edge_butterfly(ref, m, lambda v0, v1: (v0 + c0 * v1, v0 + c1 * v1))
         assert np.array_equal(f.table().view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("bufsize", SMALL_BUFSIZES)
+@pytest.mark.parametrize("m", [0, 1, 3, 8, 10, 13])
+def test_blocked_butterfly_keeps_the_bits_under_a_small_bufsize(m, bufsize):
+    with _bufsize(bufsize):
+        test_blocked_butterfly_keeps_the_bits_of_the_per_edge_loop(m)
 
 
 def _coefficient_outputs():
