@@ -15,7 +15,7 @@ from .errors import DomainError, LatticeMismatchError
 LATTICE_TOL = 1e-9
 INVERSION_TOL = 1e-9  # lattice_inversion stops once a doubling moves its result by less
 GAUSSIAN_TRUNCATION_SIGMAS = 12.0
-GAUSSIAN_MAX_POINTS = 1 << 22  # points of one discrete_gaussian (32 MB per array) or first inversion grid
+GAUSSIAN_MAX_POINTS = 1 << 22  # points of one discrete_gaussian (32 MB per array) or inversion grid
 CHF_BLOCK = 1 << 16  # (t, x) phases per block of phase_blocks
 # Entries one BLAS reduction may take.  OpenBLAS 0.3.31 ran a one-row real
 # product of 12288 entries (not 8192), and a complex matrix-vector product of
@@ -39,9 +39,21 @@ class LatticeSpec:
         if not math.isfinite(self.b):
             raise DomainError(f"lattice origin must be finite, got {self.b}")
 
+    def _snap(self, x):
+        """The nearest integer index to x (scalar or array) and whether x lies on the lattice there.
+
+        Off the lattice counts nan, inf and points more than 2^53 steps from
+        b, where the index would not be exact.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = (np.asarray(x, dtype=np.float64) - self.b) / self.h
+            k = np.rint(q)
+            on = (np.abs(q - k) < LATTICE_TOL) & (np.abs(k) <= 2.0**53)
+        return k, on
+
     def contains(self, x: float) -> bool:
-        q = (x - self.b) / self.h
-        return abs(q - round(q)) < LATTICE_TOL
+        """Whether ``index`` accepts the scalar x."""
+        return bool(self._snap(x)[1])
 
     def index(self, x):
         """The integer k with b + k*h = x, for a scalar or each entry of an array.
@@ -49,12 +61,9 @@ class LatticeSpec:
         Raises DomainError if any x is off the lattice, counting nan, inf and
         points more than 2^53 steps from b, where k would not be exact.
         """
-        q = (np.asarray(x, dtype=np.float64) - self.b) / self.h
-        k = np.rint(q)
-        with np.errstate(invalid="ignore"):
-            off = ~((np.abs(q - k) < LATTICE_TOL) & (np.abs(k) <= 2.0**53))
-        if off.any():
-            raise DomainError(f"{np.asarray(x)[off].flat[0]} is not on the lattice {self.b} + {self.h}*Z")
+        k, on = self._snap(x)
+        if not on.all():
+            raise DomainError(f"{np.asarray(x)[~on].flat[0]} is not on the lattice {self.b} + {self.h}*Z")
         return k.astype(np.int64)[()]
 
     def point(self, k):
@@ -201,16 +210,25 @@ def lattice_inversion(
     *,
     freq_hint: float | None = None,
 ) -> float:
-    """P(X = x) = (h/2pi) * integral_{-pi/h}^{pi/h} e^{-itx} phi(t) dt.
+    """P(X = x) = (h/2pi) * integral_{-pi/h}^{pi/h} e^{-itx} phi(t) dt, for a real X.
 
-    ``chf`` is called once per grid with the array of its points.  The
-    trapezoid rule over one period: the integrand is 2pi/h-periodic, so the
-    mean over n equispaced points is exact once n exceeds the support's span
-    in steps.  n starts at >= 32 points per unit period of the fastest known
-    oscillation and doubles, evaluating only the new midpoints, until the
-    result is stable to INVERSION_TOL.  ``freq_hint`` may give the largest
-    |value - x| in the support if known; a non-finite hint is a DomainError,
-    and so is a first grid of more than GAUSSIAN_MAX_POINTS points.
+    The trapezoid rule over one period: the integrand is 2pi/h-periodic, so
+    the mean over n equispaced points is exact once n exceeds the support's
+    span in steps.  The grid is t = step*j, step = 2pi/(h*n), over the
+    integers j in [-n/2, n/2).  n starts at >= 32 points per unit period of
+    the fastest known oscillation and doubles, adding the half-integer j,
+    until the result is stable to INVERSION_TOL.
+
+    X is real, so phi(-t) = conj(phi(t)) and the integrand
+    g(t) = Re(e^{-itx} phi(t)) is even in t; ``chf`` must have that symmetry.
+    fl(step * -j) = -fl(step * j), so each grid is symmetric bit for bit, and
+    ``chf`` is called once per grid with its points t > 0 only (the first
+    grid adds 0 and -pi/h).  The estimate is
+    (g(-pi/h) + g(0) + 2 * sum_{t>0} g(t)) / n, a sum rounded once by
+    math.fsum.  ``freq_hint`` may give the largest |value - x| in the
+    support if known.  DomainError for a non-finite hint, for a first grid
+    that leaves no room for one doubling within GAUSSIAN_MAX_POINTS points,
+    and for a grid that reaches that cap without converging.
     """
     lattice.index(x)  # raises DomainError off the lattice
     if freq_hint is not None and not math.isfinite(freq_hint):
@@ -221,25 +239,31 @@ def lattice_inversion(
     # 32 points per period 2*pi/omega over a range of 2*pi/h -> 32*omega/h points
     n = 64
     target = 32.0 * omega / h
-    if target > GAUSSIAN_MAX_POINTS:
+    if target > GAUSSIAN_MAX_POINTS // 2:
         raise DomainError(
             f"x={x}, freq_hint={freq_hint} on step {h} need a first grid of {target:.3g} points,"
-            f" more than {GAUSSIAN_MAX_POINTS}"
+            f" more than {GAUSSIAN_MAX_POINTS // 2} (a doubling must fit in {GAUSSIAN_MAX_POINTS})"
         )
     while n < target:
         n *= 2
 
-    def grid_sum(offset: float, npts: int) -> float:
-        ts = -half + (2.0 * half / npts) * (np.arange(npts) + offset)
-        return float(np.sum(np.real(np.exp(-1j * ts * x) * np.asarray(chf(ts), dtype=np.complex128))))
+    def integrand(ts: np.ndarray) -> np.ndarray:
+        return np.real(np.exp(-1j * ts * x) * np.asarray(chf(ts), dtype=np.complex128))
 
-    total = grid_sum(0.0, n)
-    prev = total / n
-    for _ in range(22):
-        total += grid_sum(0.5, n)
-        n *= 2
-        cur = total / n
-        if abs(cur - prev) < INVERSION_TOL:
+    step = 2.0 * half / n
+    g = integrand(np.concatenate(([-half, 0.0], step * np.arange(1, n // 2))))
+    terms = g[:2].tolist() + (2.0 * g[2:]).tolist()
+    prev = math.fsum(terms) / n
+    while True:
+        terms += (2.0 * integrand(step * (np.arange(n // 2) + 0.5))).tolist()
+        n, step = 2 * n, step / 2
+        cur = math.fsum(terms) / n
+        change = abs(cur - prev)
+        if change < INVERSION_TOL:
             return cur
+        if 2 * n > GAUSSIAN_MAX_POINTS:
+            raise DomainError(
+                f"x={x}: inversion did not converge on a grid of {n} points (the cap);"
+                f" its last doubling changed the estimate by {change:.3g}, not less than {INVERSION_TOL}"
+            )
         prev = cur
-    return prev

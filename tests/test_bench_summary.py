@@ -95,6 +95,31 @@ def test_pairs_apply_the_claim_rule_in_each_metrics_direction(tmp_path, capsys):
     assert out.count("wins 9/10") == 2 and out.count("claim holds") == 2
 
 
+def test_pairs_apply_the_mirrored_regression_rule(tmp_path, capsys):
+    # the change loses 9 of 10 pairs by about 1.0 against a parent IQR of 0.45
+    parent = [record(s, 7.0 + 0.1 * s, source="old", op_p50_s=0.1) for s in range(10)]
+    change = [record(s, 6.0 + 0.1 * s, source="new", op_p50_s=0.1 + 0.001 * s) for s in range(10)]
+    change[3]["metrics"]["ops_per_s"] = 8.0
+    pairs = bench_pairs.pair(parent, change)["exact-lab"]
+    ops = bench_pairs.compare(pairs, "ops_per_s", "higher")
+    assert (ops["wins"], ops["losses"]) == (1, 9) and ops["gap"] == pytest.approx(-0.9)
+    assert ops["regression"] and not ops["claim"]
+    # lower is better for op_p50_s: a rising latency regresses, and the seed-0 tie counts for neither side
+    p50 = bench_pairs.compare(pairs, "op_p50_s", "lower")
+    assert (p50["wins"], p50["losses"]) == (0, 9) and p50["regression"]
+    # fewer than ten pairs, or a loss in every pair by less than the parent's IQR, find no regression
+    assert not bench_pairs.compare(pairs[:9], "ops_per_s", "higher")["regression"]
+    close = [(p, dict(c, metrics={"ops_per_s": p["metrics"]["ops_per_s"] - 0.05})) for p, c in pairs]
+    row = bench_pairs.compare(close, "ops_per_s", "higher")
+    assert row["losses"] == 10 and not row["regression"]
+
+    argv = [*_write(tmp_path, "parent", parent), "--", *_write(tmp_path, "change", change)]
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("losses 9/10") == 2 and out.count("regression holds") == 2
+    assert out.count("claim does not hold") == 2
+
+
 def test_pairs_refuse_unpaired_and_mixed_records(tmp_path, capsys):
     parent = _write(tmp_path, "parent", [record(1, 1.0), record(2, 1.0)])
     change = _write(tmp_path, "change", [record(1, 2.0, source="new")])

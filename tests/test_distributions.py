@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from cliquellt import (
     linf_distance,
 )
 from cliquellt import distributions
-from cliquellt.distributions import CHF_BLOCK, chf_sum
+from cliquellt.cliques import counts_over_all_graphs
+from cliquellt.distributions import CHF_BLOCK, GAUSSIAN_MAX_POINTS, chf_sum
+from cliquellt.pbf import popcount_array
 
 
 def test_lattice_basics():
@@ -139,6 +142,70 @@ def test_inversion_evaluates_each_t_once():
 
         assert lattice_inversion(spy, dist.lattice, x, freq_hint=hint) == pytest.approx(m, abs=1e-15)
         assert len(set(seen)) == len(seen)
+
+
+def _rational_triangle_law(n, p):
+    """The exact law of the triangle count of G(n, p) as Fractions, from every graph's count."""
+    m = n * (n - 1) // 2
+    key = counts_over_all_graphs(n, 3).astype(np.int64) * (m + 1) + popcount_array(m)
+    hist = np.bincount(key).reshape(-1, m + 1)
+    a, b = Fraction(p).as_integer_ratio()
+    return {c: Fraction(sum(g * a**k * (b - a) ** (m - k) for k, g in enumerate(row)), b**m)
+            for c, row in enumerate(hist.tolist())}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_inversion_is_within_6e_17_of_the_exact_rational_law(n):
+    # the full grid summed by np.sum erred by up to 8.5e-17 (n = 4, p = 0.37)
+    for p in (0.5, 0.3, 0.37, 0.9):
+        dist = exact_distribution(CliqueSpec(n=n, r=3, p=p))
+        exact = _rational_triangle_law(n, p)
+        hint = max(abs(x) for x in dist.mass)
+        for x in dist.mass:
+            got = lattice_inversion(dist.chf, dist.lattice, x, freq_hint=hint)
+            assert abs(Fraction(got) - exact[int(x)]) < 6e-17, (n, p, x)
+
+
+def test_inversion_evaluates_the_chf_on_the_nonnegative_half_grid():
+    dist = exact_distribution(CliqueSpec(n=7, r=3, p=0.5))
+    lat = dist.lattice
+    assert max(abs(x) for x in dist.mass) == 35.0
+    for x in dist.mass:
+        seen = []
+
+        def spy(t):
+            seen.extend(np.asarray(t).tolist())
+            return dist.chf(t)
+
+        lattice_inversion(spy, lat, x, freq_hint=35.0)
+        # 32 * 35 points per period round up to a first grid of 2048: 1025 points, then 1024 midpoints
+        assert len(seen) == 2049
+        assert [t for t in seen if t < 0] == [-math.pi / lat.h]
+
+
+def test_inversion_of_hermitian_callables_is_exact_to_1e_15():
+    lat = LatticeSpec(0.0, 1.0)
+    point = lambda t: np.exp(3j * np.asarray(t))
+    for x, mass in ((2.0, 0.0), (3.0, 1.0), (4.0, 0.0)):
+        assert abs(lattice_inversion(point, lat, x) - mass) < 1e-15
+    p = 0.3
+    bernoulli = lambda t: (1 - p) + p * np.exp(1j * np.asarray(t))
+    for x, mass in ((0.0, 1 - p), (1.0, p), (2.0, 0.0)):
+        assert abs(lattice_inversion(bernoulli, lat, x) - mass) < 1e-15
+
+
+def test_inversion_that_does_not_converge_stops_at_the_grid_cap():
+    # regression: the indicator of |t| < 1 moves the trapezoid sum by O(1/n)
+    # per doubling, and the doublings ran on to a grid of 2^24 points
+    seen = []
+
+    def chf(t):
+        seen.append(np.asarray(t).size)
+        return (np.abs(t) < 1).astype(complex)
+
+    with pytest.raises(DomainError, match=f"did not converge on a grid of {GAUSSIAN_MAX_POINTS} points.*changed"):
+        lattice_inversion(chf, LatticeSpec(0.0, 1.0), 0.0)
+    assert sum(seen) <= GAUSSIAN_MAX_POINTS
 
 
 def test_inversion_off_lattice_rejected():
@@ -273,3 +340,17 @@ def test_index_rejects_non_finite_and_huge():
     for bad in (math.nan, math.inf, -math.inf, 1e300):
         with pytest.raises(DomainError):
             lat.index(bad)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e300, -1e300, 2.0**54, 0.5, 2.0, -3.0])
+def test_contains_agrees_with_index(x):
+    # regression: contains raised ValueError on nan and OverflowError on inf,
+    # and held 1e300, which index rejects; prob inherited all three
+    lat = LatticeSpec(0.0, 1.0)
+    try:
+        k = lat.index(x)
+    except DomainError:
+        k = None
+    assert lat.contains(x) == (k is not None)
+    d = EmpiricalDistribution(lat, {2.0: 0.25, -3.0: 0.75})
+    assert d.prob(x) == {2.0: 0.25, -3.0: 0.75}.get(x, 0.0)

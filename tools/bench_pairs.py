@@ -8,9 +8,12 @@ every record needs exactly one partner on the other side, and each side must
 come from one source tree on one host (as ``bench_summary.py`` requires).
 Each metric's direction is the ``better`` that ``BENCHMARK.json`` declares
 for it.  Per workload and metric the report gives each side's median
-[q1, q3], how many pairs the change won (a tie counts for neither) and the
-claim rule: the change wins at least nine tenths of at least ten pairs, and
-its median beats the parent's by more than the parent's IQR.
+[q1, q3], how many pairs the change won and lost (a tie counts for
+neither) and two verdicts.  The claim rule: the change wins at least nine
+tenths of at least ten pairs, and its median beats the parent's by more than
+the parent's IQR.  The regression rule mirrors it: the change loses at least
+nine tenths of at least ten pairs, and its median is worse than the parent's
+by more than the parent's IQR.
 """
 
 from __future__ import annotations
@@ -51,15 +54,21 @@ def pair(parent: list[dict], change: list[dict]) -> dict[str, list[tuple[dict, d
 
 
 def compare(pairs: list[tuple[dict, dict]], metric: str, better: str) -> dict:
-    """Each side's spread, the change's paired wins and whether a gain may be claimed."""
+    """Each side's spread, the change's paired wins and losses, and whether it gains or regresses."""
     sign = 1.0 if better == "higher" else -1.0
     before = [p["metrics"][metric] for p, _ in pairs]
     after = [c["metrics"][metric] for _, c in pairs]
     wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
+    losses = sum(sign * (a - b) < 0 for b, a in zip(before, after))
     parent, change = spread(before), spread(after)
     gap = sign * (change["median"] - parent["median"])
-    claim = len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs) and gap > parent["iqr"]
-    return {"parent": parent, "change": change, "wins": wins, "pairs": len(pairs), "gap": gap, "claim": claim}
+    enough = len(pairs) >= MIN_PAIRS
+    claim = enough and wins >= WIN_SHARE * len(pairs) and gap > parent["iqr"]
+    regression = enough and losses >= WIN_SHARE * len(pairs) and -gap > parent["iqr"]
+    return {
+        "parent": parent, "change": change, "wins": wins, "losses": losses, "pairs": len(pairs), "gap": gap,
+        "claim": claim, "regression": regression,
+    }
 
 
 def report(groups: dict[str, list[tuple[dict, dict]]], better: dict[str, str]) -> list[str]:
@@ -72,8 +81,10 @@ def report(groups: dict[str, list[tuple[dict, dict]]], better: dict[str, str]) -
             lines.append(
                 f"  {metric} ({better[metric]} is better): parent {side(**row['parent'])}"
                 f" -> change {side(**row['change'])}, wins {row['wins']}/{row['pairs']},"
+                f" losses {row['losses']}/{row['pairs']},"
                 f" gap {row['gap']:+.6g} vs parent IQR {row['parent']['iqr']:.6g},"
-                f" claim {'holds' if row['claim'] else 'does not hold'}"
+                f" claim {'holds' if row['claim'] else 'does not hold'},"
+                f" regression {'holds' if row['regression'] else 'does not hold'}"
             )
     return lines
 
