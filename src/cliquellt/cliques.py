@@ -345,6 +345,8 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
     TABLE_EDGE_CAP C(n, r) <= C(7, 3) = 35.  Callers that scale or square
     the counts must cast them first.
     """
+    if r < 3:
+        raise DomainError(f"clique size must be >= 3, got r={r}")
     ground = EdgeGround(n)
     m = ground.size
     if m > TABLE_EDGE_CAP:
@@ -366,21 +368,40 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
     return counts[: 1 << m]
 
 
+def _count_edge_histogram(counts: np.ndarray, m: int) -> np.ndarray:
+    """N[c, k]: how many of the 2^m graphs in ``counts`` have c cliques and k edges.
+
+    The table is read in blocks of 2^16 graphs (one block when m < 16) that
+    share their high bits, so a graph's edge count is the popcount of its
+    block index plus that of its low bits.  Each block bincounts
+    popcount(low) * (C+1) + c, C the largest count, in one reused intp
+    buffer, and adds the result into the (k, c) histogram shifted by the
+    block's popcount.  No temporary is larger than a block, whatever m is.
+    """
+    low = min(m, 16)
+    width = int(counts[-1]) + 1  # the complete graph has the most cliques
+    scaled = popcount_array(low) * np.intp(width)
+    hist = np.zeros((m + 1) * width, dtype=np.int64)
+    key = np.empty(1 << low, dtype=np.intp)
+    for block, c in enumerate(counts.reshape(-1, key.size)):
+        np.add(scaled, c, out=key)
+        part = np.bincount(key)
+        shift = block.bit_count() * width
+        hist[shift : shift + part.size] += part
+    return hist.reshape(m + 1, width).T
+
+
 def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
     """Exact law of f_r under G(n,p), on the integer lattice (b=0, h=1).
 
-    One integer bincount gives N[c, k], the number of graphs with c cliques
-    and k edges.  With p = a/b exactly, the mass at c is
-    sum_k N[c, k] a^k (b-a)^(m-k) / b^m, an int/int division that Python
-    rounds correctly, as in ``mean``.  Counts whose rounded mass is 0 are
-    left out of the support.
+    A block-by-block integer histogram of the clique-count table gives
+    N[c, k], the number of graphs with c cliques and k edges.  With p = a/b
+    exactly, the mass at c is sum_k N[c, k] a^k (b-a)^(m-k) / b^m, an
+    int/int division that Python rounds correctly, as in ``mean``.  Counts
+    whose rounded mass is 0 are left out of the support.
     """
     m = spec.ground.size
-    counts = counts_over_all_graphs(spec.n, spec.r)
-    key = counts.astype(np.uint16)  # c * (m+1) + k <= 35 * 22 + 21 would wrap in uint8
-    key *= m + 1
-    key += popcount_array(m)
-    hist = np.bincount(key, minlength=(int(counts.max()) + 1) * (m + 1)).reshape(-1, m + 1)
+    hist = _count_edge_histogram(counts_over_all_graphs(spec.n, spec.r), m)
     a, b = spec.p.as_integer_ratio()
     weight = [a**k * (b - a) ** (m - k) for k in range(m + 1)]
     total = b**m

@@ -20,12 +20,14 @@ bench_summary = _load("bench_summary")
 bench_pairs = _load("bench_pairs")
 
 
-def record(seed, ops_per_s, *, workload="exact-lab", source="abc", failed=0, **metrics):
+def record(seed, ops_per_s, *, workload="exact-lab", source="abc", failed=0, ops=((0, "step", 1.0, None),),
+           **metrics):
     prov = {
         "workload": workload, "seed": seed, "traced": False, "git_commit": None, "source_sha256": source,
         "nproc": 2, "cpu_model": "cpu", "python": "3.11", "numpy": "2.4",
     }
-    return {"provenance": prov, "metrics": {"ops_per_s": ops_per_s, **metrics}, "failed": failed, "attempted": 48}
+    return {"provenance": prov, "metrics": {"ops_per_s": ops_per_s, **metrics}, "failed": failed, "attempted": 48,
+            "ops": [list(op) for op in ops]}
 
 
 def test_summary_gives_median_and_iqr_per_workload():
@@ -38,6 +40,38 @@ def test_summary_gives_median_and_iqr_per_workload():
     mc = out["workloads"]["mc-triangles"]
     assert mc["metrics"]["ops_per_s"]["iqr"] == 0.0 and mc["failed_ops"] == 1
     assert out["provenance"]["source_sha256"] == "abc"
+
+
+def test_summary_names_the_op_kinds_at_the_p50_and_tail_ranks(tmp_path, capsys, monkeypatch):
+    # 12 ops a run: op_p50_s averages ranks 6 and 7, and op_tail_s is rank 2 (as written in "tail")
+    def run(seed, fast):
+        times = [("a", 1.0 + 0.01 * i) for i in range(fast)] + [("b", 2.0 + 0.01 * i) for i in range(9 - fast)]
+        times += [("c", 3.0), ("c", 3.5), ("d", 0.5)]
+        rec = record(seed, 1.0, ops=[(i, kind, sec, None) for i, (kind, sec) in enumerate(times)])
+        rec["tail"] = {"percentile": 10, "rank": 2, "ops": 12}
+        return rec
+
+    # seed 1 ranks d, a x5, b x4, c x2: ranks 6 and 7 are a and b; seed 2 ranks d, a x6, ...: a and a
+    recs = [run(1, 5), run(2, 6)]
+    kinds = bench_summary.summarise("x", recs)["workloads"]["exact-lab"]["op_kinds"]
+    assert list(kinds) == ["a", "b", "c", "d"]
+    assert [kinds[k]["at_p50"] for k in kinds] == [3, 1, 0, 0]
+    assert [kinds[k]["at_tail"] for k in kinds] == [2, 0, 0, 0]
+    assert kinds["c"] == {"median_s": 3.25, "ops": 4, "at_p50": 0, "at_tail": 0}
+    assert kinds["b"]["median_s"] == pytest.approx(2.01) and kinds["b"]["ops"] == 7
+    # a traced record has no "tail": its op times count, its ranks do not
+    traced = run(3, 5)
+    del traced["tail"]
+    traced["provenance"]["traced"] = True
+    out = bench_summary.summarise("x", [*recs, traced])["workloads"]
+    assert out["exact-lab"]["op_kinds"] == kinds and out["exact-lab-traced"]["op_kinds"]["a"]["at_p50"] == 0
+
+    monkeypatch.setattr(bench_summary, "ROOT", tmp_path)
+    paths = _write(tmp_path, "rec", recs)
+    assert bench_summary.main(["x", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("exact-lab: op kind") and lines[1].split() == ["a", "1.020000", "11", "3", "2"]
+    assert json.loads((tmp_path / "BENCH_x.json").read_text())["workloads"]["exact-lab"]["op_kinds"] == kinds
 
 
 def test_summary_refuses_records_of_different_sources():

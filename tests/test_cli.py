@@ -232,3 +232,18 @@ def test_monte_carlo_rows_keep_their_bits(argv, capsys):
     code, out = run(list(argv), capsys)
     assert code == 0
     assert hashlib.sha256(_rows(out).encode()).hexdigest()[:16] == ROW_DIGESTS[argv]
+
+
+EXHAUSTIVE_DIGESTS = {  # as ROW_DIGESTS, for the commands whose rows come from the exact law
+    ("exact-dist", "--n", "7", "--r", "3", "--format", "json"): "ebd4df1f58477ebb",
+    ("exact-dist", "--n", "7", "--r", "3", "--p", "0.3", "--format", "json"): "691938a3071ee3b0",
+    ("exact-dist", "--n", "6", "--r", "4", "--format", "json"): "82c83664c68a107a",
+    ("moments", "--n", "7", "--r", "3", "--format", "json"): "207588b0301f30ec",
+}
+
+
+@pytest.mark.parametrize("argv", EXHAUSTIVE_DIGESTS, ids=" ".join)
+def test_exhaustive_rows_keep_their_bits(argv, capsys):
+    code, out = run(list(argv), capsys)
+    assert code == 0
+    assert hashlib.sha256(_rows(out).encode()).hexdigest()[:16] == EXHAUSTIVE_DIGESTS[argv]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -29,11 +30,13 @@ from cliquellt import (
 )
 from cliquellt import cliques
 from cliquellt.cliques import (
+    _count_edge_histogram,
     _variance_terms,
     clique_edge_masks,
     counts_over_all_graphs,
     variance_leading_coefficient,
 )
+from cliquellt.pbf import popcount_array
 PETERSEN_EDGES = [
     (1, 2), (2, 3), (3, 4), (4, 5), (5, 1),
     (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),
@@ -496,6 +499,40 @@ def test_exact_distribution_support_is_the_counts_with_nonzero_rounded_mass():
     dist = exact_distribution(CliqueSpec(n=7, r=3, p=1e-200))
     assert dist.k.tolist() == [0]
     assert dist.masses.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_block_histogram_matches_one_whole_table_bincount(n):
+    # r > n (all-zero tables), tables of fewer than 8 entries, one block at n <= 6, 32 blocks at n = 7
+    m = EdgeGround(n).size
+    for r in range(3, 6):
+        counts = counts_over_all_graphs(n, r)
+        key = counts.astype(np.uint16)
+        key *= m + 1
+        key += popcount_array(m)
+        whole = np.bincount(key, minlength=(int(counts.max()) + 1) * (m + 1)).reshape(-1, m + 1)
+        assert np.array_equal(_count_edge_histogram(counts, m), whole)
+
+
+def test_exact_distribution_peak_memory_stays_below_the_table_temporaries():
+    # one whole-table bincount traced a 22.0 MB peak at n = 7: a uint16 key, a popcount
+    # table and numpy's intp copy of the key, each with 2^21 entries
+    spec = CliqueSpec(n=7, r=3, p=0.5)
+    exact_distribution(spec)
+    tracemalloc.start()
+    try:
+        exact_distribution(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("r", [2, 1, 0, -1])
+def test_counts_over_all_graphs_rejects_r_below_3(r):
+    # r = 1 used to return 1 for every graph (all n single-vertex masks are 0); r < 0 raised ValueError
+    with pytest.raises(DomainError, match="clique size"):
+        counts_over_all_graphs(4, r)
 
 
 def test_moments_bundle():
