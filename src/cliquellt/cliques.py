@@ -331,6 +331,11 @@ def clique_edge_masks(ground: EdgeGround, r: int) -> list[int]:
     return masks
 
 
+def _check_enumeration_cap(m: int) -> None:
+    if m > TABLE_EDGE_CAP:
+        raise CapacityError(f"exhaustive enumeration capped at {TABLE_EDGE_CAP} edges, got {m}")
+
+
 def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
     """f_r(g) for every assignment bitmask g in [0, 2^C(n,2)), as a uint8 array.
 
@@ -343,14 +348,15 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
     passes.  No byte carries into the next, and uint8 cannot wrap, since
     every partial sum is at most C(n, r), and under the 21-edge
     TABLE_EDGE_CAP C(n, r) <= C(7, 3) = 35.  Callers that scale or square
-    the counts must cast them first.
+    the counts must cast them first.  exact_distribution reads only the
+    tables of n-1 vertices and fewer (_peel_histogram), so its n = 7 law
+    takes at most 2^15 counts.
     """
     if r < 3:
         raise DomainError(f"clique size must be >= 3, got r={r}")
     ground = EdgeGround(n)
     m = ground.size
-    if m > TABLE_EDGE_CAP:
-        raise CapacityError(f"exhaustive enumeration capped at {TABLE_EDGE_CAP} edges, got {m}")
+    _check_enumeration_cap(m)
     counts = np.zeros(max(1 << m, 8), dtype=np.uint8)  # at least one word
     counts[clique_edge_masks(ground, r)] = 1
     words = counts.view("<u8")
@@ -368,40 +374,49 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
     return counts[: 1 << m]
 
 
-def _count_edge_histogram(counts: np.ndarray, m: int) -> np.ndarray:
-    """N[c, k]: how many of the 2^m graphs in ``counts`` have c cliques and k edges.
+def _peel_histogram(n: int, r: int) -> np.ndarray:
+    """N[c, k]: how many of the 2^C(n,2) graphs on n vertices have c r-cliques and k edges.
 
-    The table is read in blocks of 2^16 graphs (one block when m < 16) that
-    share their high bits, so a graph's edge count is the popcount of its
-    block index plus that of its low bits.  Each block bincounts
-    popcount(low) * (C+1) + c, C the largest count, in one reused intp
-    buffer, and adds the result into the (k, c) histogram shifted by the
-    block's popcount.  No temporary is larger than a block, whatever m is.
+    Peels vertex 1.  Its edges are bits 0..n-2 of g, and the rest is H, a graph
+    on vertices 2..n in its own canonical order, so g = S | H << (n-1) and
+    c_r(g) = c_r(H) + c_{r-1}(H[S]), |g| = |H| + |S|.  Relabelling vertices
+    2..n moves S onto any other set of its size s, so S may be the last s
+    vertices, whose C(s,2) edges are the top bits of H:
+    N[c, k] = sum_s C(n-1, s) #{H : c_r(H) + c_{r-1}(H >> (C(n-1,2) - C(s,2))) = c,
+    |H| = k - s}, with c_2 the edge count.  Each s is one bincount of the key
+    |H| * (C+1) + c over the 2^C(n-1,2) graphs H, C = C(n, r) the largest count.
     """
-    low = min(m, 16)
-    width = int(counts[-1]) + 1  # the complete graph has the most cliques
-    scaled = popcount_array(low) * np.intp(width)
-    hist = np.zeros((m + 1) * width, dtype=np.int64)
-    key = np.empty(1 << low, dtype=np.intp)
-    for block, c in enumerate(counts.reshape(-1, key.size)):
-        np.add(scaled, c, out=key)
-        part = np.bincount(key)
-        shift = block.bit_count() * width
-        hist[shift : shift + part.size] += part
-    return hist.reshape(m + 1, width).T
+    mh, width = binom(n - 1, 2), binom(n, r) + 1
+    inner = counts_over_all_graphs(n - 1, r) if n > 1 else np.zeros(1, dtype=np.uint8)
+    base = popcount_array(mh) * np.intp(width) + inner
+    key = np.empty_like(base)
+    hist = np.zeros((mh + n, width), dtype=np.int64)
+    for s in range(n):
+        if r == 3:
+            top = popcount_array(binom(s, 2))
+        elif s >= r - 1:
+            top = counts_over_all_graphs(s, r - 1)
+        else:  # no (r-1)-clique fits in s vertices
+            top = np.zeros(1, dtype=np.uint8)
+        np.add(base.reshape(top.size, -1), top[:, None], out=key.reshape(top.size, -1))
+        part = np.bincount(key, minlength=(mh + 1) * width).reshape(mh + 1, width)
+        hist[s : s + mh + 1] += binom(n - 1, s) * part
+    return hist.T
 
 
 def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
     """Exact law of f_r under G(n,p), on the integer lattice (b=0, h=1).
 
-    A block-by-block integer histogram of the clique-count table gives
-    N[c, k], the number of graphs with c cliques and k edges.  With p = a/b
-    exactly, the mass at c is sum_k N[c, k] a^k (b-a)^(m-k) / b^m, an
-    int/int division that Python rounds correctly, as in ``mean``.  Counts
-    whose rounded mass is 0 are left out of the support.
+    An integer histogram gives N[c, k], the number of graphs with c cliques
+    and k edges, from the graphs on n-1 vertices (_peel_histogram).
+    With p = a/b exactly, the mass at c is sum_k N[c, k] a^k (b-a)^(m-k) / b^m,
+    an int/int division that Python rounds correctly, as in ``mean``.  Counts
+    whose rounded mass is 0 are left out of the support.  CapacityError above
+    TABLE_EDGE_CAP edges, as for every 2^m table.
     """
     m = spec.ground.size
-    hist = _count_edge_histogram(counts_over_all_graphs(spec.n, spec.r), m)
+    _check_enumeration_cap(m)
+    hist = _peel_histogram(spec.n, spec.r)
     a, b = spec.p.as_integer_ratio()
     weight = [a**k * (b - a) ** (m - k) for k in range(m + 1)]
     total = b**m

@@ -150,6 +150,16 @@ def test_library_error_is_one_line_on_stderr_and_exit_2(argv):
     assert "Traceback" not in run.stderr
 
 
+def test_exhaustive_law_above_the_edge_cap_is_a_capacity_error():
+    # exact-dist has no Monte Carlo fallback: 28 edges stay an error, with the same message
+    env = dict(os.environ, PYTHONPATH=str(Path(cliquellt.__file__).resolve().parents[1]))
+    argv = ["exact-dist", "--n", "8"]
+    run = subprocess.run([sys.executable, "-m", "cliquellt.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "cliquellt: error: exhaustive enumeration capped at 21 edges, got 28\n"
+
+
 def test_python_dash_m_runs_the_program(capsys):
     argv = ["moments", "--n", "6", "--r", "3"]
     _, expected = run(argv, capsys)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquellt import (
+    CapacityError,
     CliqueSpec,
     DomainError,
     EdgeGround,
@@ -30,7 +31,7 @@ from cliquellt import (
 )
 from cliquellt import cliques
 from cliquellt.cliques import (
-    _count_edge_histogram,
+    _peel_histogram,
     _variance_terms,
     clique_edge_masks,
     counts_over_all_graphs,
@@ -212,7 +213,8 @@ def test_row_plan_is_built_once_per_n_and_read_only():
 
 
 def test_batch_kernel_complete_empty_and_errors():
-    for n, r in ((5, 3), (5, 4), (9, 6), (65, 3)):
+    # from n = 256 on, the r = 3 codegrees are uint16; K_257 and K_300 have codegrees above 255
+    for n, r in ((5, 3), (5, 4), (9, 6), (65, 3), (256, 3), (257, 3), (300, 3)):
         m = EdgeGround(n).size
         edges = np.array([np.ones(m, dtype=bool), np.zeros(m, dtype=bool)])
         assert count_cliques_batch(edges, n, r).tolist() == [math.comb(n, r), 0]
@@ -494,6 +496,14 @@ def test_exact_distribution_masses_are_correctly_rounded(n, p):
     assert dict(exact_distribution(CliqueSpec(n=n, r=3, p=p)).mass) == want
 
 
+@pytest.mark.parametrize("r, p", [(4, 0.3), (4, 0.5), (5, 0.3), (5, 0.7)])
+def test_exact_distribution_masses_are_correctly_rounded_at_r_4_and_5(r, p):
+    # only r >= 4 reads the (r-1)-clique tables of the peeled vertex's neighbourhoods
+    law = _fraction_law(6, r, p)
+    want = {float(c): float(law[c]) for c in sorted(law) if float(law[c]) > 0.0}
+    assert dict(exact_distribution(CliqueSpec(n=6, r=r, p=p)).mass) == want
+
+
 def test_exact_distribution_support_is_the_counts_with_nonzero_rounded_mass():
     # at p = 1e-200 every count above 0 has a tiny positive exact mass that rounds to 0.0
     dist = exact_distribution(CliqueSpec(n=7, r=3, p=1e-200))
@@ -503,20 +513,21 @@ def test_exact_distribution_support_is_the_counts_with_nonzero_rounded_mass():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_block_histogram_matches_one_whole_table_bincount(n):
-    # r > n (all-zero tables), tables of fewer than 8 entries, one block at n <= 6, 32 blocks at n = 7
+    # the peeled histogram against one bincount of the whole 2^C(n,2) table; n = 1 has no
+    # graph left after the peel, n = 2 an edgeless one, and r = n + 1, n + 2 no clique at all
     m = EdgeGround(n).size
-    for r in range(3, 6):
+    for r in range(3, n + 3):
         counts = counts_over_all_graphs(n, r)
         key = counts.astype(np.uint16)
         key *= m + 1
         key += popcount_array(m)
-        whole = np.bincount(key, minlength=(int(counts.max()) + 1) * (m + 1)).reshape(-1, m + 1)
-        assert np.array_equal(_count_edge_histogram(counts, m), whole)
+        whole = np.bincount(key, minlength=(math.comb(n, r) + 1) * (m + 1)).reshape(-1, m + 1)
+        assert np.array_equal(_peel_histogram(n, r), whole)
 
 
 def test_exact_distribution_peak_memory_stays_below_the_table_temporaries():
-    # one whole-table bincount traced a 22.0 MB peak at n = 7: a uint16 key, a popcount
-    # table and numpy's intp copy of the key, each with 2^21 entries
+    # one whole-table bincount traced a 22.0 MB peak at n = 7 and the block histogram 3.75 MB;
+    # the peel builds no table larger than the 2^15 graphs on six vertices
     spec = CliqueSpec(n=7, r=3, p=0.5)
     exact_distribution(spec)
     tracemalloc.start()
@@ -525,7 +536,13 @@ def test_exact_distribution_peak_memory_stays_below_the_table_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 2 * 2**20
+
+
+def test_exact_distribution_stays_capped_at_the_table_edge_cap():
+    # the peel's largest table has C(n-1, 2) edges, so n = 8 alone would fit under the cap
+    with pytest.raises(CapacityError, match="^exhaustive enumeration capped at 21 edges, got 28$"):
+        exact_distribution(CliqueSpec(n=8, r=3, p=0.5))
 
 
 @pytest.mark.parametrize("r", [2, 1, 0, -1])
