@@ -14,7 +14,7 @@ from .distributions import SERIAL_BLAS_ENTRIES, chf_sum
 from .errors import DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
 from . import sampling
-from .pbf import PBFunction, _edges, _mask, assignment_weights
+from .pbf import PBFunction, _edges, _mask, assignment_weights, popcount_array
 from .sampling import MCConfig
 
 
@@ -219,13 +219,31 @@ def rainbow_cliques(part: BlockPartition, r: int) -> list[tuple[int, ...]]:
 
 
 def exact_chf(f: PBFunction, t: float) -> complex:
-    """E[e^{itf}] by exhaustive weighted enumeration of f's truth table (EdgeGround only).
+    """E[e^{itf}], read off the law of f's values over its truth table (EdgeGround only).
 
     CapacityError above TABLE_EDGE_CAP edges, from f.table().
     """
     if not isinstance(f.ground, EdgeGround):
         raise DomainError("exact_chf enumerates a base EdgeGround")
-    return chf_sum(t, f.table(), assignment_weights(f.ground.size, f.p))
+    return chf_sum(t, *_value_law(f.table(), f.p))
+
+
+def _value_law(table: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """f's distinct values and the probability of each, from its 2^m-entry truth table.
+
+    As exact_distribution builds its law: an integer histogram N[value, k]
+    counts the assignments of each value with k edges, and
+    P(f = value) = sum_k N[value, k] p^k (1-p)^(m-k), a sum of at most m+1
+    terms.  A chf over the values then costs its distinct values, not 2^m
+    entries, and no BLAS product is involved.  No weight is accumulated entry
+    by entry (np.bincount's ``weights``), whose rounding grows with 2^m.
+    """
+    m = table.size.bit_length() - 1
+    values, inv = np.unique(table, return_inverse=True)
+    hist = np.bincount(inv * (m + 1) + popcount_array(m), minlength=values.size * (m + 1))
+    k = np.arange(m + 1)
+    masses = (hist.reshape(values.size, m + 1) * (p**k * (1.0 - p) ** (m - k))).sum(axis=1)
+    return values, masses
 
 
 @dataclass(frozen=True)
@@ -244,13 +262,13 @@ def decoupling_check(
 ) -> list[DecouplingCheck]:
     """Both sides of |phi_f(t)|^{2^k} <= E_Y |E_X e^{it alpha(f)}|, one check per t in ts.
 
-    The left side is exact (enumeration over the base ground).  The right side
-    reads alpha(f)(X, Y) = sum_v (-1)^|v| f(X, Y^v) off f's truth table, where
-    Y^v takes copy v_b of each edge of block b: exact over the X assignments
-    of B_0, Monte Carlo over the rows of ``mc.edge_draws`` (column 2j + copy
-    is that copy of the j-th Y edge), in row blocks so that memory does not
-    grow with the samples.  One truth table and one set of Y draws serve
-    every t; an empty ts builds neither.
+    The left side is exact, read off the law of f's values as in exact_chf.
+    The right side reads alpha(f)(X, Y) = sum_v (-1)^|v| f(X, Y^v) off f's
+    truth table, where Y^v takes copy v_b of each edge of block b: exact over
+    the X assignments of B_0, Monte Carlo over the rows of ``mc.edge_draws``
+    (column 2j + copy is that copy of the j-th Y edge), in row blocks so that
+    memory does not grow with the samples.  One truth table, one law and one
+    set of Y draws serve every t; an empty ts builds none of them.
     """
     if len(ts) == 0:
         return []
@@ -281,11 +299,11 @@ def decoupling_check(
                 g += (-1) ** sum(v) * table[y_mask[:, None] | x_index]
             for out, t in zip(abs_vals, ts):
                 out.append(np.abs(_inner_chf(g, t, wx)))
-    weights = assignment_weights(part.ground.size, f.p)
+    law = _value_law(table, f.p)
     checks = []
     for t, vals in zip(ts, abs_vals):
         allvals = np.concatenate(vals)
-        lhs = abs(chf_sum(t, table, weights)) ** (2**part.k)
+        lhs = abs(chf_sum(t, *law)) ** (2**part.k)
         rhs = float(np.mean(allvals))
         stderr = float(np.std(allvals, ddof=1) / math.sqrt(allvals.size)) if allvals.size > 1 else 0.0
         checks.append(DecouplingCheck(lhs=lhs, rhs=rhs, rhs_stderr=stderr))

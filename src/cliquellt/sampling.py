@@ -56,21 +56,32 @@ class MCConfig:
         """Each sample's row of ``width`` Bernoulli(p) draws, in (worker, sample) order.
 
         Rows come in (rows, width) bool chunks of about CHUNK_DRAWS draws.
-        Every chunk is drawn into the same two buffers, so memory stays a few
-        cache-sized blocks, and a chunk is valid only until the next one is
-        requested.  The uniforms fill each row in the same order whatever the
-        chunk height, so no row depends on it.
+        A chunk fills to full height across worker boundaries, so only the
+        last one is shorter: each worker's rows follow the previous worker's
+        in the chunk.  The uniforms go through a float buffer no taller than
+        one worker's quota, and every chunk is written into the same bool
+        buffer, so memory stays a few cache-sized blocks, and a chunk is valid
+        only until the next one is requested.  The uniforms fill each row in
+        the same order whatever the chunk height and wherever the chunk
+        starts, so no row depends on either.
         """
         quotas = self.worker_quotas()
         rows = max(1, CHUNK_DRAWS // max(width, 1))
         draws = np.empty((min(rows, max(quotas)), width))
-        edges = np.empty(draws.shape, dtype=bool)
+        edges = np.empty((min(rows, self.samples), width), dtype=bool)
+        filled = 0
         for rng, quota in zip(self.worker_rngs(), quotas):
-            for done in range(0, quota, rows):
-                size = min(rows, quota - done)
+            while quota:
+                size = min(len(edges) - filled, quota)  # at most len(draws)
                 rng.random(out=draws[:size])
-                np.less(draws[:size], p, out=edges[:size])
-                yield edges[:size]
+                np.less(draws[:size], p, out=edges[filled : filled + size])
+                filled += size
+                quota -= size
+                if filled == len(edges):
+                    yield edges
+                    filled = 0
+        if filled:
+            yield edges[:filled]
 
     def doubled(self) -> "MCConfig":
         """Twice the samples, drawn from the next stream: independent of this run."""

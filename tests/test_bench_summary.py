@@ -127,6 +127,32 @@ def test_pairs_apply_the_claim_rule_in_each_metrics_direction(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ops_per_s (higher is better)" in out and "op_p50_s (lower is better)" in out
     assert out.count("wins 9/10") == 2 and out.count("claim holds") == 2
+    # each op kind's median and rank counts, parent -> change; these records carry no tail rank
+    assert out.splitlines()[-1] == "    step: 1.000000 -> 1.000000, p50 0 -> 0, tail 0 -> 0"
+
+
+def test_pairs_give_each_op_kinds_median_and_rank_counts():
+    # 12 ops a run, as in the summary's test: op_p50_s averages ranks 6 and 7,
+    # op_tail_s is rank 2.  Parent: d, a x5, b x4, c x2, so a and b sit at
+    # ranks 6 and 7 and a at rank 2.  The change halves every b op (b ties
+    # sort after a) and trades d for a slow e: a, b, b, a, b, b, a x3, c x2, e
+    def run(seed, source, b_scale, last):
+        times = [("a", 1.0 + 0.01 * i) for i in range(5)] + [("b", b_scale * (2.0 + 0.01 * i)) for i in range(4)]
+        times += [("c", 3.0), ("c", 3.5), last]
+        rec = record(seed, 1.0, source=source, ops=[(i, kind, sec, None) for i, (kind, sec) in enumerate(times)])
+        rec["tail"] = {"percentile": 10, "rank": 2, "ops": 12}
+        return rec
+
+    pairs = [(run(s, "old", 1.0, ("d", 0.5)), run(s, "new", 0.5, ("e", 9.0))) for s in range(3)]
+    lines = bench_pairs.kind_lines(pairs)
+    assert lines[0].startswith("  op kind: median s")
+    assert lines[1:] == [
+        "    a: 1.020000 -> 1.020000, p50 3 -> 3, tail 3 -> 0",
+        "    b: 2.015000 -> 1.007500, p50 3 -> 3, tail 0 -> 3",
+        "    c: 3.250000 -> 3.250000, p50 0 -> 0, tail 0 -> 0",
+        "    d: 0.500000 -> -, p50 0 -> -, tail 0 -> -",
+        "    e: - -> 9.000000, p50 - -> 0, tail - -> 0",
+    ]
 
 
 def test_pairs_apply_the_mirrored_regression_rule(tmp_path, capsys):

@@ -227,6 +227,8 @@ ROW_DIGESTS = {  # sha256 prefix of each command's rows; the header is left out,
     ("chf-scan", "--n", "30", "--r", "4", "--p", "0.5", "--samples", "200", "--workers", "4", *GRID,
      "--format", "json", "--seed", "1"): "4ab08d30c97a71d9",
     ("chf-scan", "--n", "70", "--r", "4", "--samples", "300", "--workers", "2"): "c2533ccad138d5fd",  # two words per row
+    # the lhs is read off the law of f's values, the rhs is Monte Carlo
+    ("decoupling-check", "--n", "6", "--r", "3", "--samples", "2000", "--seed", "5"): "54772e1925836cd4",
 }
 
 
@@ -249,6 +251,7 @@ EXHAUSTIVE_DIGESTS = {  # as ROW_DIGESTS, for the commands whose rows come from 
     ("exact-dist", "--n", "7", "--r", "3", "--p", "0.3", "--format", "json"): "691938a3071ee3b0",
     ("exact-dist", "--n", "6", "--r", "4", "--format", "json"): "82c83664c68a107a",
     ("moments", "--n", "7", "--r", "3", "--format", "json"): "207588b0301f30ec",
+    ("bounds-check", "--p", "0.4"): "b7a517c1d56e6f14",  # every margin from exact sums, mainchf's from exact_chf
 }
 
 
@@ -257,3 +260,42 @@ def test_exhaustive_rows_keep_their_bits(argv, capsys):
     code, out = run(list(argv), capsys)
     assert code == 0
     assert hashlib.sha256(_rows(out).encode()).hexdigest()[:16] == EXHAUSTIVE_DIGESTS[argv]
+
+
+def _outcome(call, argv, capsys):
+    """(exit code, stdout, stderr) of one CLI call; argparse exits through SystemExit."""
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _on_a_fresh_parser(argv):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # main parses on one parser per process; a flag, a default or an error
+    # of one call must not leak into the next
+    built = []
+    monkeypatch.setattr(cliquellt.cli, "build_parser", lambda: built.append(1) or build_parser())
+    cliquellt.cli._parser.cache_clear()
+    try:
+        calls = [
+            ["chf-scan", "--n", "8", "--samples", "50", "--self-check"],
+            ["chf-scan", "--n", "8", "--samples", "50"],
+            ["moments", "--n", "x"],  # a usage error
+            ["decoupling-check", "--help"],
+            ["bounds-check", "--p", "0.4", "--format", "json"],
+        ]
+        shared = [_outcome(main, argv, capsys) for argv in calls]
+    finally:
+        cliquellt.cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    assert "self_check_max_delta" in shared[0][1] and "self_check_max_delta" not in shared[1][1]
+    for argv, outcome in zip(calls, shared):
+        assert outcome == _outcome(_on_a_fresh_parser, argv, capsys), argv

@@ -334,6 +334,18 @@ def test_exact_chf_matches_the_exact_law(n, p):
         assert abs(exact_chf(f, t) - law.chf(t)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.37])
+def test_exact_chf_is_within_1e_15_of_the_exact_law(n, p):
+    # phi_f read off the law of f's values, whose masses are integer
+    # histograms times p^k (1-p)^(m-k); a weighted sum over every table entry
+    # was off by 6e-15 at n = 7, p = 0.3
+    spec = CliqueSpec(n=n, r=3, p=p)
+    f, law = fr_function(spec), exact_distribution(spec)
+    for t in (0.5, 1.0, 2.0):
+        assert abs(exact_chf(f, t) - law.chf(t)) <= 1e-15
+
+
 def test_decoupling_check_golden_bits():
     # rhs and rhs_stderr pinned bit for bit: how the inner X enumeration builds
     # its tables must not change the Monte Carlo side
@@ -471,6 +483,7 @@ def test_exact_chf_and_decoupling_check_do_not_depend_on_the_blas_thread_count()
         "from cliquellt import CliqueSpec, exact_chf, fr_function\n"
         "from cliquellt.cli import main\n"
         "print(repr(exact_chf(fr_function(CliqueSpec(6, 3, 0.5)), 0.5)))\n"  # a 2^15-entry table
+        "print(repr(exact_chf(fr_function(CliqueSpec(7, 3, 0.3)), 0.5)))\n"  # 2^21 entries, many distinct values
         "main(['decoupling-check', '--n', '6', '--r', '3', '--samples', '2000', '--seed', '5'])\n"
     )
     src = str(Path(cliquellt.__file__).resolve().parents[1])

@@ -13,7 +13,10 @@ neither) and two verdicts.  The claim rule: the change wins at least nine
 tenths of at least ten pairs, and its median beats the parent's by more than
 the parent's IQR.  The regression rule mirrors it: the change loses at least
 nine tenths of at least ten pairs, and its median is worse than the parent's
-by more than the parent's IQR.
+by more than the parent's IQR.  Per op kind it then gives the median seconds
+and how often that kind sat at the op_p50_s and op_tail_s ranks, parent ->
+change (``bench_summary.op_kinds``), so a percentile's move can be traced to
+the ops that made it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from bench_summary import ROOT, spread, summarise
+from bench_summary import ROOT, op_kinds, spread, summarise
 
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
@@ -86,6 +89,21 @@ def report(groups: dict[str, list[tuple[dict, dict]]], better: dict[str, str]) -
                 f" claim {'holds' if row['claim'] else 'does not hold'},"
                 f" regression {'holds' if row['regression'] else 'does not hold'}"
             )
+        lines += kind_lines(pairs)
+    return lines
+
+
+def kind_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
+    """Per op kind: its median seconds and its counts at the p50 and tail ranks, parent -> change."""
+    before, after = (op_kinds([pr[side] for pr in pairs]) for side in (0, 1))
+    lines = ["  op kind: median s, times at the p50 ranks, times at the tail rank (parent -> change)"]
+    for kind in sorted(before.keys() | after.keys()):
+        old, new = before.get(kind), after.get(kind)
+        cells = [
+            " -> ".join(fmt(row[key]) if row else "-" for row in (old, new))
+            for key, fmt in (("median_s", "{:.6f}".format), ("at_p50", str), ("at_tail", str))
+        ]
+        lines.append(f"    {kind}: {cells[0]}, p50 {cells[1]}, tail {cells[2]}")
     return lines
 
 
