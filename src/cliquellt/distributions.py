@@ -77,9 +77,11 @@ class EmpiricalDistribution:
     """Masses on the points b + k*h of a lattice.
 
     Stored as ``k``, the ascending unique int64 lattice indices, and
-    ``masses``, the float64 mass at each.  Masses are nonnegative; in exact
-    mode they sum to 1 up to tolerance, in Monte Carlo mode they are exactly
-    counts/N.  Masses of a discrete Gaussian are deliberately NOT renormalized.
+    ``masses``, the float64 mass at each; both arrays are read-only, so the
+    ``mass`` view and the chf memo cannot go stale.  Masses are nonnegative;
+    in exact mode they sum to 1 up to tolerance, in Monte Carlo mode they are
+    exactly counts/N.  Masses of a discrete Gaussian are deliberately NOT
+    renormalized.
     """
 
     def __init__(self, lattice: LatticeSpec, mass: Mapping[float, float]):
@@ -103,6 +105,9 @@ class EmpiricalDistribution:
         self.lattice = lattice
         self.k, slot = np.unique(k, return_inverse=True)
         self.masses = np.bincount(slot, weights=masses, minlength=self.k.size)
+        self.k.flags.writeable = self.masses.flags.writeable = False
+        self._chf_memo: dict[tuple, np.ndarray] = {}  # (shape, float64 bytes of t) -> chf there, oldest first
+        self._chf_memo_points = 0
 
     def points(self) -> np.ndarray:
         return self.lattice.point(self.k)
@@ -127,8 +132,26 @@ class EmpiricalDistribution:
         return float(self.masses[self.k == self.lattice.index(x)].sum())
 
     def chf(self, t):
-        """Exact characteristic function sum(mass * e^{itx}), at a scalar or each entry of an array t."""
-        return chf_sum(t, self.points(), self.masses)
+        """Exact characteristic function sum(mass * e^{itx}), at a scalar or each entry of an array t.
+
+        The law remembers the arrays t it has computed, up to
+        GAUSSIAN_MAX_POINTS points in all, dropping the oldest grid first, and
+        returns a fresh writable copy each time.  So inverting every mass with
+        one ``freq_hint`` costs one chf evaluation per grid; without a hint
+        each x starts at its own grid size and shares less.
+        """
+        ts = np.asarray(t, dtype=np.float64)
+        if ts.ndim == 0:
+            return chf_sum(t, self.points(), self.masses)
+        key = (ts.shape, ts.tobytes())
+        memo = self._chf_memo
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = chf_sum(ts, self.points(), self.masses)
+            self._chf_memo_points += ts.size
+            while self._chf_memo_points > GAUSSIAN_MAX_POINTS:
+                self._chf_memo_points -= memo.pop(next(iter(memo))).size
+        return value.copy()
 
 
 def phase_blocks(ts: np.ndarray, x: np.ndarray):

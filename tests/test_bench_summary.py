@@ -180,6 +180,30 @@ def test_pairs_apply_the_mirrored_regression_rule(tmp_path, capsys):
     assert out.count("claim does not hold") == 2
 
 
+def test_pairs_judge_a_worsening_against_the_metrics_bound(tmp_path, capsys):
+    # peak_rss_mb 63.30 -> 63.82 MB (+0.8%), lost in 9 of 10 pairs against a parent IQR of 0.02 MB:
+    # the IQR rule flags it, but it is well inside the 10% bound BENCHMARK.json sets
+    parent = [record(s, 1.0, source="old", peak_rss_mb=63.28 + 0.01 * (s % 5)) for s in range(10)]
+    change = [record(s, 1.0, source="new", peak_rss_mb=63.82) for s in range(10)]
+    change[3]["metrics"]["peak_rss_mb"] = 63.0
+    pairs = bench_pairs.pair(parent, change)["exact-lab"]
+    rss = bench_pairs.compare(pairs, "peak_rss_mb", "lower", 0.1)
+    assert rss["parent"]["median"] == pytest.approx(63.30) and rss["losses"] == 9 and rss["regression"]
+    assert rss["moved"] == pytest.approx(0.52 / 63.30) and rss["past_bound"] is False
+    # past the bound: 63.30 -> 70.0 MB (+10.6%); a metric without a bound gets no bound verdict
+    far = [(p, dict(c, metrics={"peak_rss_mb": 70.0})) for p, c in pairs]
+    assert bench_pairs.compare(far, "peak_rss_mb", "lower", 0.1)["past_bound"] is True
+    assert bench_pairs.compare(pairs, "peak_rss_mb", "lower")["past_bound"] is None
+    # ops_per_s did not move: +0.00%, and a gain is never past the bound
+    assert bench_pairs.compare(pairs, "ops_per_s", "higher", 0.25)["moved"] == 0.0
+
+    argv = [*_write(tmp_path, "parent", parent), "--", *_write(tmp_path, "change", change)]
+    assert bench_pairs.main(argv) == 0
+    rss_line = next(line for line in capsys.readouterr().out.splitlines() if "peak_rss_mb" in line)
+    assert "regression holds" in rss_line
+    assert rss_line.endswith("moved +0.82% of the parent median, bound 10%, worse past it does not hold")
+
+
 def test_pairs_refuse_unpaired_and_mixed_records(tmp_path, capsys):
     parent = _write(tmp_path, "parent", [record(1, 1.0), record(2, 1.0)])
     change = _write(tmp_path, "change", [record(1, 2.0, source="new")])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -166,6 +167,40 @@ def test_inversion_is_within_6e_17_of_the_exact_rational_law(n):
             assert abs(Fraction(got) - exact[int(x)]) < 6e-17, (n, p, x)
 
 
+def test_inversion_keeps_its_bits():
+    # sha256 of the float.hex of all 448 results, taken before the chf memo
+    hexes = []
+    for n in range(4, 8):
+        for p in (0.5, 0.3, 0.37, 0.9):
+            dist = exact_distribution(CliqueSpec(n=n, r=3, p=p))
+            hint = max(abs(x) for x in dist.mass)
+            for freq_hint in (hint, None):
+                hexes += [lattice_inversion(dist.chf, dist.lattice, x, freq_hint=freq_hint).hex() for x in dist.mass]
+    assert len(hexes) == 448
+    assert hashlib.sha256("\n".join(hexes).encode()).hexdigest()[:16] == "ae170eedf90fe3de"
+
+
+def _count_chf_sums(monkeypatch):
+    """A list that gains one entry per chf_sum call made through the distributions module."""
+    calls = []
+
+    def counted(t, x, w):
+        calls.append(np.size(t))
+        return chf_sum(t, x, w)
+
+    monkeypatch.setattr(distributions, "chf_sum", counted)
+    return calls
+
+
+def test_inverting_every_mass_with_one_hint_evaluates_each_grid_once(monkeypatch):
+    dist = exact_distribution(CliqueSpec(n=7, r=3, p=0.5))
+    calls = _count_chf_sums(monkeypatch)
+    for x in dist.mass:
+        lattice_inversion(dist.chf, dist.lattice, x, freq_hint=35.0)
+    # 28 masses on the same two grids: 1025 points, then 1024 midpoints (56 calls without the memo)
+    assert len(dist.mass) == 28 and calls == [1025, 1024]
+
+
 def test_inversion_evaluates_the_chf_on_the_nonnegative_half_grid():
     dist = exact_distribution(CliqueSpec(n=7, r=3, p=0.5))
     lat = dist.lattice
@@ -302,6 +337,61 @@ def test_chf_on_an_array_matches_scalar_chf(lat, law, ts):
         assert isinstance(scalar, complex)
         assert abs(value - scalar) <= 1e-12 * max(1.0, d.total())
     assert d.chf(np.array(ts).reshape(-1, 1)).shape == (len(ts), 1)
+
+
+def test_a_laws_arrays_are_read_only():
+    # regression: a write into masses left the mass view at 0.5 while total() read 1.4
+    lat = LatticeSpec(0.0, 1.0)
+    d = EmpiricalDistribution(lat, {0.0: 0.5, 1.0: 0.5})
+    with pytest.raises(ValueError):
+        d.masses[0] = 0.9
+    with pytest.raises(ValueError):
+        d.k[0] = 5
+    assert dict(d.mass) == {0.0: 0.5, 1.0: 0.5} and d.total() == 1.0
+    moved = EmpiricalDistribution.from_indices(lat, d.k - 3, d.masses)
+    assert dict(moved.mass) == {-3.0: 0.5, -2.0: 0.5}
+
+
+def test_chf_memo_returns_fresh_copies_of_the_direct_sum(monkeypatch):
+    d = exact_distribution(CliqueSpec(n=6, r=3, p=0.3))
+    ts = np.linspace(-math.pi, math.pi, 6)
+    direct = chf_sum(ts, d.points(), d.masses)
+    calls = _count_chf_sums(monkeypatch)
+    first = d.chf(ts)
+    assert first.tobytes() == direct.tobytes() and first.flags.writeable
+    first[:] = 7.0
+    again = d.chf(list(ts))  # the same float64 bytes as a list
+    assert again.tobytes() == direct.tobytes() and again.flags.writeable and again is not first
+    assert calls == [6]
+    # the shape is part of the key; a scalar t is summed directly, each time
+    assert d.chf(ts.reshape(2, 3)).shape == (2, 3) and calls == [6, 6]
+    assert d.chf(float(ts[1])) == d.chf(ts[1]) == complex(direct[1]) and calls == [6, 6, 1, 1]
+
+
+def test_chf_memo_drops_the_oldest_grid_past_the_point_cap(monkeypatch):
+    d = exact_distribution(CliqueSpec(n=5, r=3, p=0.37))
+    grids = [np.linspace(0.0, 3.0, 5) + i for i in range(3)]
+    direct = [chf_sum(ts, d.points(), d.masses).tobytes() for ts in grids]
+    monkeypatch.setattr(distributions, "GAUSSIAN_MAX_POINTS", 12)
+    calls = _count_chf_sums(monkeypatch)
+    assert [d.chf(ts).tobytes() for ts in grids] == direct and calls == [5, 5, 5]
+    # 15 points > 12: grid 0 went first, grids 1 and 2 stay
+    assert [d.chf(ts).tobytes() for ts in grids[1:]] == direct[1:] and calls == [5, 5, 5]
+    assert d.chf(grids[0]).tobytes() == direct[0] and calls == [5, 5, 5, 5]
+    # a grid larger than the cap is returned but not kept
+    wide = np.linspace(0.0, 1.0, 13)
+    assert d.chf(wide).tobytes() == d.chf(wide).tobytes() and calls == [5, 5, 5, 5, 13, 13]
+
+
+def test_two_laws_on_one_grid_keep_their_own_values(monkeypatch):
+    laws = [exact_distribution(CliqueSpec(n=5, r=3, p=p)) for p in (0.5, 0.3)]
+    ts = np.linspace(0.1, 2.0, 4)
+    direct = [chf_sum(ts, d.points(), d.masses) for d in laws]
+    assert not np.array_equal(*direct)
+    calls = _count_chf_sums(monkeypatch)
+    for _ in range(2):
+        assert [d.chf(ts).tobytes() for d in laws] == [v.tobytes() for v in direct]
+    assert calls == [4, 4]
 
 
 def test_chf_blocks_agree_with_loop_reference():
