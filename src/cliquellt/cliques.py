@@ -220,14 +220,20 @@ def _upper_rows(edges: np.ndarray, n: int) -> np.ndarray:
     Bit j % 64 of word j // 64 of row (i, s) (0-based vertices) is set iff
     graph s has edge (i, j) and j > i.  Each word is a 64-bit field of one
     little-endian packbits stream of the graph's edges, read with two aligned
-    word gathers and masked to the row's columns (see _row_plan).
+    word gathers and masked to the row's columns (see _row_plan).  The edges
+    are padded with zero bits to whole words, so one flat packbits packs the
+    whole batch; short rows packed one by one cost more than the rest of this.
     """
     *_, q, sh, keep = _row_plan(n)
-    packed = np.packbits(edges, axis=1, bitorder="little")
-    # a zero word before the edges, and one after the last word a field starts in
-    stream = np.zeros((len(edges), 8 * (n * (n - 1) // 128 + 3)), dtype=np.uint8)
-    stream[:, 8 : 8 + packed.shape[1]] = packed
-    v = np.ascontiguousarray(stream.view("<u8").T)
+    m = edges.shape[1]
+    words = -(-m // 64)
+    bits = np.zeros((len(edges), 64 * words), dtype=bool)
+    bits[:, :m] = edges
+    packed = np.packbits(bits, bitorder="little").view("<u8").reshape(len(edges), words)
+    # column s is graph s's stream: a zero word before the edges, and one
+    # after the last word a field starts in
+    v = np.zeros((m // 64 + 3, len(edges)), dtype=np.uint64)
+    v[1 : 1 + words] = packed.T
     rows = v[q] >> sh
     rows |= (v[q + 1] << (np.uint64(63) - sh)) << np.uint64(1)
     rows &= keep

@@ -4,6 +4,7 @@ characteristic functions, drawn from deterministic per-worker substreams."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -63,7 +64,11 @@ class MCConfig:
         buffer, so memory stays a few cache-sized blocks, and a chunk is valid
         only until the next one is requested.  The uniforms fill each row in
         the same order whatever the chunk height and wherever the chunk
-        starts, so no row depends on either.
+        starts, so no row depends on either: worker w's rows are the first
+        quota_w * width draws of its substream, cut every ``width``.  So its
+        rows of a narrower width take a prefix of the draws of its rows of
+        any wider one; sample_clique_counts_many draws several widths in one
+        pass on this.
         """
         quotas = self.worker_quotas()
         rows = max(1, CHUNK_DRAWS // max(width, 1))
@@ -96,14 +101,89 @@ class ChfEstimate:
     samples: int
 
 
+class _Recut:
+    """The rows of one narrower width, cut from chunks of the widest rows.
+
+    Worker w's rows of width m are the first quota_w * m draws of its
+    substream, cut every m (see ``MCConfig.edge_draws``).  Each chunk's draws
+    of each worker go into one flat buffer, up to that many; the whole rows
+    form one batch, and the partial row (fewer than m draws) is carried to the
+    next chunk.  A worker's draws stop at the end of a row, so the next
+    worker's first row starts one.
+    """
+
+    def __init__(self, width: int, capacity: int):
+        self.width = width
+        self.flat = np.empty(capacity + width, dtype=bool)
+        self.carry = slice(0, 0)
+
+    def cut(self, edges: np.ndarray, row: int, workers: list[tuple[int, int]]) -> np.ndarray:
+        """The whole rows in this chunk and the carry, valid until the next cut.
+
+        ``edges`` is the chunk of the widest rows from row ``row`` on;
+        ``workers`` holds each worker's (first row, quota).
+        """
+        if not self.width:  # a row without draws: one per widest row
+            return edges[:, :0]
+        wide = edges.shape[1]
+        filled = self.carry.stop - self.carry.start
+        self.flat[:filled] = self.flat[self.carry]
+        for first, quota in workers:
+            lo, hi = max(row, first), min(row + len(edges), first + quota)
+            start = (lo - first) * wide  # the chunk's first draw of this worker
+            size = min((hi - lo) * wide, quota * self.width - start)
+            if size > 0:
+                self.flat[filled : filled + size] = edges[lo - row : hi - row].reshape(-1)[:size]
+                filled += size
+        end = filled - filled % self.width
+        self.carry = slice(end, filled)
+        return self.flat[:end].reshape(-1, self.width)
+
+
+def sample_clique_counts_many(specs: list[CliqueSpec], mc: MCConfig) -> list[np.ndarray]:
+    """Each spec's Monte Carlo clique counts, from one pass of edge draws.
+
+    The specs share one p.  The pass walks ``mc.edge_draws`` once, at the
+    widest width, and each chunk goes straight to count_cliques_batch for the
+    specs of that width.  Each narrower width re-cuts the same draws (_Recut)
+    into one batch per chunk, across worker boundaries.  So spec k's counts
+    are ``sample_clique_counts(specs[k], mc)`` bit for bit, and memory stays
+    one chunk and one row per width, whatever the number of samples.
+    """
+    if not specs:
+        return []
+    p = specs[0].p
+    if any(spec.p != p for spec in specs):
+        raise DomainError(f"one pass of draws needs one p, got {sorted({spec.p for spec in specs})}")
+    widths = [spec.ground.size for spec in specs]
+    wide = max(widths)
+    quotas = mc.worker_quotas()
+    workers = list(zip(accumulate(quotas, initial=0), quotas))  # (first row, quota)
+    out = [np.empty(mc.samples, dtype=np.int64) for _ in specs]
+    done = [0] * len(specs)
+    recuts = None
+    row = 0
+    for edges in mc.edge_draws(wide, p):
+        if recuts is None:  # the first chunk is the tallest
+            recuts = {m: _Recut(m, edges.size) for m in set(widths) if m < wide}
+        batches = {m: recut.cut(edges, row, workers) for m, recut in recuts.items()}
+        batches[wide] = edges
+        for k, spec in enumerate(specs):
+            batch = batches[widths[k]]
+            out[k][done[k] : done[k] + len(batch)] = count_cliques_batch(batch, spec.n, spec.r)
+            done[k] += len(batch)
+        row += len(edges)
+    return out
+
+
 def sample_clique_counts(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
     """Monte Carlo clique counts: i.i.d. G(n,p) draws, one count per sample.
 
-    One count_cliques_batch call per chunk of ``mc.edge_draws``; output order
-    is (worker, sample-within-worker).
+    The one-spec case of sample_clique_counts_many: one count_cliques_batch
+    call per chunk of ``mc.edge_draws``; output order is (worker,
+    sample-within-worker).
     """
-    chunks = mc.edge_draws(spec.ground.size, spec.p)
-    return np.concatenate([count_cliques_batch(edges, spec.n, spec.r) for edges in chunks])
+    return sample_clique_counts_many([spec], mc)[0]
 
 
 def sample_kappa(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:

@@ -150,6 +150,24 @@ def test_library_error_is_one_line_on_stderr_and_exit_2(argv):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["llt-verify", "--n", "7", "--workers", "0", "--samples", "0"],
+        ["llt-verify", "--n", "7", "--samples", "0"],
+        ["llt-verify", "--n", "6", "--workers", "0"],
+    ],
+)
+def test_llt_verify_rejects_bad_monte_carlo_options_when_every_row_is_exact(argv, capsys, monkeypatch):
+    # regression: with no n beyond the enumeration cap, these exited 0 and
+    # echoed samples=0 / workers=0 in the header, where chf-scan exits 2
+    monkeypatch.setattr(sys, "argv", ["cliquellt", *argv])
+    assert cliquellt.cli._program() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cliquellt: error: ") and captured.err.count("\n") == 1
+
+
 def test_exhaustive_law_above_the_edge_cap_is_a_capacity_error():
     # exact-dist has no Monte Carlo fallback: 28 edges stay an error, with the same message
     env = dict(os.environ, PYTHONPATH=str(Path(cliquellt.__file__).resolve().parents[1]))

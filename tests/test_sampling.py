@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from cliquellt import (
     DomainError,
     LatticeSpec,
     MCConfig,
+    count_cliques_batch,
     empirical_chf_grid,
     empirical_distribution,
     mean,
@@ -102,6 +104,64 @@ def test_draws_same_for_any_chunk_height(monkeypatch):
         ref = decoupling_check(f, part, (0.5, 1.0, 2.0), mc)
         for rows in (2, 7, 14, 1000):
             assert with_rows(rows, 14, lambda: decoupling_check(f, part, (0.5, 1.0, 2.0), mc)) == ref
+
+
+def _per_worker_counts(spec, mc):
+    # the oracle: worker w's rows are its substream's first quota_w * m draws, cut every m
+    m = spec.ground.size
+    rows = [rng.random((quota, m)) < spec.p for rng, quota in zip(mc.worker_rngs(), mc.worker_quotas())]
+    return count_cliques_batch(np.concatenate(rows), spec.n, spec.r)
+
+
+def test_one_pass_counts_each_width_as_its_own_run(monkeypatch):
+    from cliquellt import sampling
+    from cliquellt.sampling import sample_clique_counts_many
+
+    shapes = list(itertools.product((range(8, 10), range(8, 13)), (3, 4), (0.3, 0.5, 0.7)))
+    runs = itertools.product((1, 7, 64), (1, 3, 4, 7), (1001, 333, 3))
+    for k, (rows, workers, samples) in enumerate(runs):
+        ns, r, p = shapes[k % len(shapes)]
+        specs = [CliqueSpec(n, r, p) for n in ns]
+        mc = MCConfig(seed=40 + k, samples=samples, workers=workers)
+        refs = [sample_clique_counts(spec, mc) for spec in specs]
+        for spec, ref in zip(specs, refs):
+            assert np.array_equal(ref, _per_worker_counts(spec, mc))
+        with monkeypatch.context() as patch:
+            # a chunk of `rows` widest rows: carries cross chunk and worker ends
+            patch.setattr(sampling, "CHUNK_DRAWS", rows * specs[-1].ground.size)
+            got = sample_clique_counts_many(specs, mc)
+        assert len(got) == len(specs)
+        for ref, counts in zip(refs, got):
+            assert counts.dtype == np.int64 and np.array_equal(counts, ref)
+    # any order, repeated widths, several r, and a width without draws (n = 1)
+    specs = [CliqueSpec(10, 3, 0.5), CliqueSpec(1, 3, 0.5), CliqueSpec(8, 4, 0.5), CliqueSpec(10, 5, 0.5), CliqueSpec(9, 3, 0.5)]
+    mc = MCConfig(seed=3, samples=500, workers=3)
+    for counts, spec in zip(sample_clique_counts_many(specs, mc), specs):
+        assert np.array_equal(counts, sample_clique_counts(spec, mc))
+    assert sample_clique_counts_many([], mc) == []
+    with pytest.raises(DomainError, match="one p"):
+        sample_clique_counts_many([CliqueSpec(8, 3, 0.5), CliqueSpec(9, 3, 0.4)], mc)
+
+
+def test_one_pass_memory_does_not_grow_with_samples():
+    # preallocated outputs and per-chunk buffers: no list of chunk counts and
+    # no held stream of samples x C(N, 2) draws
+    import tracemalloc
+
+    from cliquellt.sampling import sample_clique_counts_many
+
+    specs = [CliqueSpec(n, 3, 0.5) for n in (8, 9, 10)]
+    sample_clique_counts_many(specs, MCConfig(seed=1, samples=100, workers=3))  # the kernel's row plans
+    above_outputs = []
+    for samples in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            counts = sample_clique_counts_many(specs, MCConfig(seed=1, samples=samples, workers=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        above_outputs.append(peak - sum(c.nbytes for c in counts))
+    assert above_outputs[1] - above_outputs[0] <= 0.5 * 2**20, above_outputs
 
 
 def test_doubled_run_shares_no_leading_draws():
