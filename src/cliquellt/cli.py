@@ -33,13 +33,7 @@ from .distributions import LatticeSpec, discrete_gaussian, l1_distance, linf_dis
 from .errors import CapacityError, DomainError
 from .ground import binom
 from .pbf import TABLE_EDGE_CAP, assignment_weights
-from .sampling import (
-    MCConfig,
-    empirical_chf_grid,
-    empirical_distribution,
-    sample_clique_counts_many,
-    sample_kappa,
-)
+from .sampling import MCConfig, empirical_chf_grid, sample_clique_laws, sample_kappa
 
 
 # every option a subcommand may read, keyed by dest: (flag, type, default)
@@ -131,10 +125,8 @@ def cmd_llt_verify(args) -> int:
     mc = MCConfig(seed=args.seed, samples=args.samples, workers=args.workers)
     specs = [CliqueSpec(n=n, r=args.r, p=args.prob) for n in range(5, args.n + 1)]
     exact = [spec for spec in specs if spec.ground.size <= TABLE_EDGE_CAP]
-    # every n beyond the enumeration cap comes from one pass of draws, at the largest n
-    counts = sample_clique_counts_many(specs[len(exact) :], mc)
-    dists = [exact_distribution(spec) for spec in exact]
-    dists += [empirical_distribution(c, LatticeSpec(0.0, 1.0)) for c in counts]
+    # every n beyond the enumeration cap comes from one pass of draws
+    dists = [exact_distribution(spec) for spec in exact] + sample_clique_laws(specs[len(exact) :], mc)
     rows = []
     for spec, dist in zip(specs, dists):
         gauss = discrete_gaussian(LatticeSpec(0.0, 1.0), spec.mu, spec.sigma)
@@ -166,6 +158,8 @@ def cmd_chf_scan(args) -> int:
 
 def cmd_decoupling_check(args) -> int:
     spec = _spec(args)
+    if spec.ground.size > TABLE_EDGE_CAP:  # before fr_function, which takes seconds there
+        raise CapacityError(f"truth table capped at {TABLE_EDGE_CAP} edges, got {spec.ground.size}")
     half = spec.n // 2 + spec.n % 2
     part = build_color_partition(spec.n, 1, [half, spec.n - half])
     f = fr_function(spec)
@@ -180,6 +174,7 @@ def cmd_decoupling_check(args) -> int:
 
 def cmd_bounds_check(args) -> int:
     p = args.prob
+    spec = CliqueSpec(n=4, r=3, p=p)  # checks p before the chi grid below takes sqrt(p(1-p))
     rows = []
     ok = True
 
@@ -206,7 +201,6 @@ def cmd_bounds_check(args) -> int:
     record("berry_esseen", worst)
 
     # hypercontractive moment bound against an exact 4th moment (n=4, f = kappa-style quadratic)
-    spec = CliqueSpec(n=4, r=3, p=p)
     f = fr_function(spec).tail(1)
     weights = assignment_weights(f.ground.size, p)
     vals = f.table()

@@ -4,7 +4,6 @@ characteristic functions, drawn from deterministic per-worker substreams."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -14,7 +13,7 @@ from .distributions import EmpiricalDistribution, LatticeSpec, chf_sum, phase_bl
 from .errors import DomainError
 
 
-# edge draws per chunk of MCConfig.edge_draws: a 1 MB block of doubles.  The
+# edge draws per chunk of MCConfig.edge_draws_many: a 1 MB block of doubles.  The
 # clique kernel packs the draws one bit each, and its one scratch buffer, the
 # pair block, holds one uint64 per draw of half the edges, reused for each word
 # of a row, so it is about CHUNK_DRAWS / 2 words: whatever the width, a chunk's
@@ -43,6 +42,8 @@ class MCConfig:
             raise DomainError("need at least one worker")
         if self.stream < 0:
             raise DomainError("stream must be nonnegative")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
     def worker_rngs(self) -> list[np.random.Generator]:
         first = self.stream * self.workers
@@ -56,37 +57,54 @@ class MCConfig:
     def edge_draws(self, width: int, p: float) -> Iterator[np.ndarray]:
         """Each sample's row of ``width`` Bernoulli(p) draws, in (worker, sample) order.
 
-        Rows come in (rows, width) bool chunks of about CHUNK_DRAWS draws.
-        A chunk fills to full height across worker boundaries, so only the
-        last one is shorter: each worker's rows follow the previous worker's
-        in the chunk.  The uniforms go through a float buffer no taller than
-        one worker's quota, and every chunk is written into the same bool
-        buffer, so memory stays a few cache-sized blocks, and a chunk is valid
-        only until the next one is requested.  The uniforms fill each row in
-        the same order whatever the chunk height and wherever the chunk
-        starts, so no row depends on either: worker w's rows are the first
-        quota_w * width draws of its substream, cut every ``width``.  So its
-        rows of a narrower width take a prefix of the draws of its rows of
-        any wider one; sample_clique_counts_many draws several widths in one
-        pass on this.
+        The one-width case of edge_draws_many: (rows, width) bool chunks of
+        about CHUNK_DRAWS draws, each valid only until the next is requested.
         """
-        quotas = self.worker_quotas()
-        rows = max(1, CHUNK_DRAWS // max(width, 1))
-        draws = np.empty((min(rows, max(quotas)), width))
-        edges = np.empty((min(rows, self.samples), width), dtype=bool)
-        filled = 0
-        for rng, quota in zip(self.worker_rngs(), quotas):
-            while quota:
-                size = min(len(edges) - filled, quota)  # at most len(draws)
-                rng.random(out=draws[:size])
-                np.less(draws[:size], p, out=edges[filled : filled + size])
-                filled += size
-                quota -= size
-                if filled == len(edges):
-                    yield edges
-                    filled = 0
-        if filled:
-            yield edges[:filled]
+        for _, edges in self.edge_draws_many([width], p):
+            yield edges
+
+    def edge_draws_many(self, widths: list[int], p: float) -> Iterator[tuple[int, np.ndarray]]:
+        """(i, rows) chunks of every sample's row of ``widths[i]`` Bernoulli(p) draws, from one pass.
+
+        Worker w's rows of width m are the first quota_w * m uniforms of its
+        substream, cut every m: no row depends on the chunk height or on
+        where a chunk starts, and the rows of a narrower width take a prefix
+        of the draws of any wider one.  The uniforms come in blocks of about
+        CHUNK_DRAWS; each width compares its prefix of a block into its own
+        bool buffer of about CHUNK_DRAWS draws, which fills across worker
+        boundaries and is yielded as (rows, m), in (worker, sample) order,
+        each time it is full and once at the end.  A worker's quota_w * m
+        draws are whole rows, so no row is ever split between two chunks.
+        Each width's chunks reuse its one buffer, so a chunk is valid only
+        until the next one is requested, and memory stays one block and one
+        buffer per width whatever the number of samples.
+        """
+        heights = [min(max(1, CHUNK_DRAWS // max(m, 1)), self.samples) for m in widths]
+        for i, (m, height) in enumerate(zip(widths, heights)):
+            if not m:  # rows without draws: `samples` of them, one chunk height at a time
+                for lo in range(0, self.samples, height):
+                    yield i, np.empty((min(height, self.samples - lo), 0), dtype=bool)
+        flats = [np.empty(height * m, dtype=bool) for m, height in zip(widths, heights)]
+        block = np.empty(max([1] + [flat.size for flat in flats]))
+        filled = [0] * len(widths)
+        wide = max(widths, default=0)
+        for rng, quota in zip(self.worker_rngs(), self.worker_quotas()):
+            for lo in range(0, quota * wide, block.size):
+                draws = block[: quota * wide - lo]
+                rng.random(out=draws)
+                for i, (m, flat) in enumerate(zip(widths, flats)):
+                    part = draws[: max(0, quota * m - lo)]  # this width's prefix of the block
+                    while part.size:
+                        size = min(part.size, flat.size - filled[i])
+                        np.less(part[:size], p, out=flat[filled[i] : filled[i] + size])
+                        part = part[size:]
+                        filled[i] += size
+                        if filled[i] == flat.size:
+                            yield i, flat.reshape(-1, m)
+                            filled[i] = 0
+        for i, (m, flat) in enumerate(zip(widths, flats)):
+            if filled[i]:
+                yield i, flat[: filled[i]].reshape(-1, m)
 
     def doubled(self) -> "MCConfig":
         """Twice the samples, drawn from the next stream: independent of this run."""
@@ -101,89 +119,42 @@ class ChfEstimate:
     samples: int
 
 
-class _Recut:
-    """The rows of one narrower width, cut from chunks of the widest rows.
+def sample_clique_counts(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
+    """Monte Carlo clique counts: i.i.d. G(n,p) draws, one count per sample.
 
-    Worker w's rows of width m are the first quota_w * m draws of its
-    substream, cut every m (see ``MCConfig.edge_draws``).  Each chunk's draws
-    of each worker go into one flat buffer, up to that many; the whole rows
-    form one batch, and the partial row (fewer than m draws) is carried to the
-    next chunk.  A worker's draws stop at the end of a row, so the next
-    worker's first row starts one.
+    One count_cliques_batch call per chunk of ``mc.edge_draws``; output order
+    is (worker, sample-within-worker).
     """
-
-    def __init__(self, width: int, capacity: int):
-        self.width = width
-        self.flat = np.empty(capacity + width, dtype=bool)
-        self.carry = slice(0, 0)
-
-    def cut(self, edges: np.ndarray, row: int, workers: list[tuple[int, int]]) -> np.ndarray:
-        """The whole rows in this chunk and the carry, valid until the next cut.
-
-        ``edges`` is the chunk of the widest rows from row ``row`` on;
-        ``workers`` holds each worker's (first row, quota).
-        """
-        if not self.width:  # a row without draws: one per widest row
-            return edges[:, :0]
-        wide = edges.shape[1]
-        filled = self.carry.stop - self.carry.start
-        self.flat[:filled] = self.flat[self.carry]
-        for first, quota in workers:
-            lo, hi = max(row, first), min(row + len(edges), first + quota)
-            start = (lo - first) * wide  # the chunk's first draw of this worker
-            size = min((hi - lo) * wide, quota * self.width - start)
-            if size > 0:
-                self.flat[filled : filled + size] = edges[lo - row : hi - row].reshape(-1)[:size]
-                filled += size
-        end = filled - filled % self.width
-        self.carry = slice(end, filled)
-        return self.flat[:end].reshape(-1, self.width)
+    out = np.empty(mc.samples, dtype=np.int64)
+    done = 0
+    for edges in mc.edge_draws(spec.ground.size, spec.p):
+        out[done : done + len(edges)] = count_cliques_batch(edges, spec.n, spec.r)
+        done += len(edges)
+    return out
 
 
-def sample_clique_counts_many(specs: list[CliqueSpec], mc: MCConfig) -> list[np.ndarray]:
-    """Each spec's Monte Carlo clique counts, from one pass of edge draws.
+def sample_clique_laws(specs: list[CliqueSpec], mc: MCConfig) -> list[EmpiricalDistribution]:
+    """Each spec's Monte Carlo law of the clique count on the integers, from one pass of draws.
 
-    The specs share one p.  The pass walks ``mc.edge_draws`` once, at the
-    widest width, and each chunk goes straight to count_cliques_batch for the
-    specs of that width.  Each narrower width re-cuts the same draws (_Recut)
-    into one batch per chunk, across worker boundaries.  So spec k's counts
-    are ``sample_clique_counts(specs[k], mc)`` bit for bit, and memory stays
-    one chunk and one row per width, whatever the number of samples.
+    The specs share one p.  Each chunk of ``mc.edge_draws_many`` goes to
+    count_cliques_batch, and the np.bincount of its counts is added into the
+    spec's histogram, which grows to the largest count seen.  So spec k's law
+    has the masses counts/N of ``sample_clique_counts(specs[k], mc)`` bit for
+    bit, and memory stays one chunk and one histogram per spec, whatever the
+    number of samples.
     """
     if not specs:
         return []
     p = specs[0].p
     if any(spec.p != p for spec in specs):
         raise DomainError(f"one pass of draws needs one p, got {sorted({spec.p for spec in specs})}")
-    widths = [spec.ground.size for spec in specs]
-    wide = max(widths)
-    quotas = mc.worker_quotas()
-    workers = list(zip(accumulate(quotas, initial=0), quotas))  # (first row, quota)
-    out = [np.empty(mc.samples, dtype=np.int64) for _ in specs]
-    done = [0] * len(specs)
-    recuts = None
-    row = 0
-    for edges in mc.edge_draws(wide, p):
-        if recuts is None:  # the first chunk is the tallest
-            recuts = {m: _Recut(m, edges.size) for m in set(widths) if m < wide}
-        batches = {m: recut.cut(edges, row, workers) for m, recut in recuts.items()}
-        batches[wide] = edges
-        for k, spec in enumerate(specs):
-            batch = batches[widths[k]]
-            out[k][done[k] : done[k] + len(batch)] = count_cliques_batch(batch, spec.n, spec.r)
-            done[k] += len(batch)
-        row += len(edges)
-    return out
-
-
-def sample_clique_counts(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
-    """Monte Carlo clique counts: i.i.d. G(n,p) draws, one count per sample.
-
-    The one-spec case of sample_clique_counts_many: one count_cliques_batch
-    call per chunk of ``mc.edge_draws``; output order is (worker,
-    sample-within-worker).
-    """
-    return sample_clique_counts_many([spec], mc)[0]
+    hists = [np.zeros(0, dtype=np.int64) for _ in specs]
+    for i, edges in mc.edge_draws_many([spec.ground.size for spec in specs], p):
+        hist = np.bincount(count_cliques_batch(edges, specs[i].n, specs[i].r), minlength=hists[i].size)
+        hist[: hists[i].size] += hists[i]
+        hists[i] = hist
+    lattice = LatticeSpec(0.0, 1.0)
+    return [EmpiricalDistribution.from_indices(lattice, np.flatnonzero(h), h[h > 0] / mc.samples) for h in hists]
 
 
 def sample_kappa(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:

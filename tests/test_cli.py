@@ -136,12 +136,16 @@ def test_bounds_check_cli(capsys):
         ["chf-scan", "--n", "8", "--samples", "10", "--t-max", "inf"],
         ["chf-scan", "--n", "8", "--samples", "10", "--t-min", "nan"],
         ["llt-verify", "--n", "5"],
+        ["llt-verify", "--n", "9", "--samples", "10", "--seed", "-1"],
+        ["bounds-check", "--p", "1.5"],
+        ["bounds-check", "--p", "-0.5"],
     ],
 )
 def test_library_error_is_one_line_on_stderr_and_exit_2(argv):
     # sigma = 0 at n < r, also with no edges at all (n = 1); the weights pass
     # the float range at (400, 60); an empty or non-finite t grid; llt-verify
-    # with fewer than two exact rows to compare
+    # with fewer than two exact rows to compare; a negative seed; a p outside
+    # (0, 1), which bounds-check once met in a square root before any check
     env = dict(os.environ, PYTHONPATH=str(Path(cliquellt.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-m", "cliquellt.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 2
@@ -176,6 +180,20 @@ def test_exhaustive_law_above_the_edge_cap_is_a_capacity_error():
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr == "cliquellt: error: exhaustive enumeration capped at 21 edges, got 28\n"
+
+
+def test_decoupling_check_above_the_table_cap_fails_before_building_f(capsys, monkeypatch):
+    # regression: n = 12, r = 5 spent about 10 s in fr_function before the
+    # truth table reported its cap
+    def fail(spec):
+        raise AssertionError("fr_function called above the truth-table cap")
+
+    monkeypatch.setattr(cliquellt.cli, "fr_function", fail)
+    monkeypatch.setattr(sys, "argv", ["cliquellt", "decoupling-check", "--n", "12", "--r", "5"])
+    assert cliquellt.cli._program() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cliquellt: error: truth table capped at 21 edges, got 66\n"
 
 
 def test_python_dash_m_runs_the_program(capsys):

@@ -23,6 +23,8 @@ def test_mcconfig_validation_and_quotas():
         MCConfig(seed=0, samples=0)
     with pytest.raises(DomainError):
         MCConfig(seed=0, samples=10, workers=0)
+    with pytest.raises(DomainError, match="seed must be nonnegative"):
+        MCConfig(seed=-1, samples=10)
     mc = MCConfig(seed=0, samples=10, workers=3)
     assert mc.worker_quotas() == [4, 3, 3]
     assert sum(mc.worker_quotas()) == 10
@@ -113,9 +115,15 @@ def _per_worker_counts(spec, mc):
     return count_cliques_batch(np.concatenate(rows), spec.n, spec.r)
 
 
+def _same_law(law, counts):
+    # the law of these counts, as empirical_distribution gives it: the same indices and mass bits
+    ref = empirical_distribution(counts, LatticeSpec(0.0, 1.0))
+    return law.lattice == ref.lattice and np.array_equal(law.k, ref.k) and law.masses.tobytes() == ref.masses.tobytes()
+
+
 def test_one_pass_counts_each_width_as_its_own_run(monkeypatch):
     from cliquellt import sampling
-    from cliquellt.sampling import sample_clique_counts_many
+    from cliquellt.sampling import sample_clique_laws
 
     shapes = list(itertools.product((range(8, 10), range(8, 13)), (3, 4), (0.3, 0.5, 0.7)))
     runs = itertools.product((1, 7, 64), (1, 3, 4, 7), (1001, 333, 3))
@@ -123,45 +131,46 @@ def test_one_pass_counts_each_width_as_its_own_run(monkeypatch):
         ns, r, p = shapes[k % len(shapes)]
         specs = [CliqueSpec(n, r, p) for n in ns]
         mc = MCConfig(seed=40 + k, samples=samples, workers=workers)
-        refs = [sample_clique_counts(spec, mc) for spec in specs]
+        refs = [_per_worker_counts(spec, mc) for spec in specs]
         for spec, ref in zip(specs, refs):
-            assert np.array_equal(ref, _per_worker_counts(spec, mc))
+            assert np.array_equal(sample_clique_counts(spec, mc), ref)
         with monkeypatch.context() as patch:
-            # a chunk of `rows` widest rows: carries cross chunk and worker ends
+            # a chunk of `rows` widest rows: chunks end inside other widths' rows and workers
             patch.setattr(sampling, "CHUNK_DRAWS", rows * specs[-1].ground.size)
-            got = sample_clique_counts_many(specs, mc)
+            got = sample_clique_laws(specs, mc)
         assert len(got) == len(specs)
-        for ref, counts in zip(refs, got):
-            assert counts.dtype == np.int64 and np.array_equal(counts, ref)
+        for ref, law in zip(refs, got):
+            assert _same_law(law, ref)
     # any order, repeated widths, several r, and a width without draws (n = 1)
     specs = [CliqueSpec(10, 3, 0.5), CliqueSpec(1, 3, 0.5), CliqueSpec(8, 4, 0.5), CliqueSpec(10, 5, 0.5), CliqueSpec(9, 3, 0.5)]
     mc = MCConfig(seed=3, samples=500, workers=3)
-    for counts, spec in zip(sample_clique_counts_many(specs, mc), specs):
-        assert np.array_equal(counts, sample_clique_counts(spec, mc))
-    assert sample_clique_counts_many([], mc) == []
+    for law, spec in zip(sample_clique_laws(specs, mc), specs):
+        assert _same_law(law, _per_worker_counts(spec, mc))
+    assert sample_clique_laws([], mc) == []
     with pytest.raises(DomainError, match="one p"):
-        sample_clique_counts_many([CliqueSpec(8, 3, 0.5), CliqueSpec(9, 3, 0.4)], mc)
+        sample_clique_laws([CliqueSpec(8, 3, 0.5), CliqueSpec(9, 3, 0.4)], mc)
 
 
 def test_one_pass_memory_does_not_grow_with_samples():
-    # preallocated outputs and per-chunk buffers: no list of chunk counts and
-    # no held stream of samples x C(N, 2) draws
+    # one histogram per spec and per-width chunk buffers: no count array, no
+    # list of chunk counts and no held stream of samples x C(N, 2) draws, so
+    # the peak, the returned laws included, does not grow with the samples
     import tracemalloc
 
-    from cliquellt.sampling import sample_clique_counts_many
+    from cliquellt.sampling import sample_clique_laws
 
     specs = [CliqueSpec(n, 3, 0.5) for n in (8, 9, 10)]
-    sample_clique_counts_many(specs, MCConfig(seed=1, samples=100, workers=3))  # the kernel's row plans
-    above_outputs = []
+    sample_clique_laws(specs, MCConfig(seed=1, samples=100, workers=3))  # the kernel's row plans
+    peaks = []
     for samples in (20_000, 200_000):
         tracemalloc.start()
         try:
-            counts = sample_clique_counts_many(specs, MCConfig(seed=1, samples=samples, workers=3))
-            peak = tracemalloc.get_traced_memory()[1]
+            laws = sample_clique_laws(specs, MCConfig(seed=1, samples=samples, workers=3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        above_outputs.append(peak - sum(c.nbytes for c in counts))
-    assert above_outputs[1] - above_outputs[0] <= 0.5 * 2**20, above_outputs
+        assert len(laws) == len(specs)
+    assert peaks[1] - peaks[0] <= 0.5 * 2**20, peaks
 
 
 def test_doubled_run_shares_no_leading_draws():
