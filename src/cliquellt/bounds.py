@@ -201,6 +201,17 @@ class BoundParams:
         return math.exp(-2.0 * self.t**2 * (self.T - self.delta * self.d * self.ell) / math.pi**2)
 
     @property
+    def t_limit(self) -> float:
+        """mainchf_bound needs |t| below this: min(sqrt(lam(1-lam)) pi delta^{-1/2}, (2e)^{l/2} lam^{-l/2} / eta)."""
+        lam, ell, eta = self.lam, self.ell, self.eta
+        lim1 = math.sqrt(lam * (1.0 - lam)) * math.pi / math.sqrt(self.delta) if self.delta > 0 else math.inf
+        try:
+            lim2 = (2.0 * math.e) ** (ell / 2.0) * lam ** (-ell / 2.0) / eta if eta > 0 else math.inf
+        except OverflowError:
+            lim2 = math.inf
+        return min(lim1, lim2)
+
+    @property
     def cp(self) -> float:
         # |1-2p| = 1-2*lambda and p(1-p) = lambda(1-lambda) for lambda = min(p,1-p)
         lam = self.lam
@@ -213,21 +224,13 @@ def mainchf_bound(bp: BoundParams) -> float:
     """The four-term bound on |phi_{X+Y}(t) - phi_X(t)|.
 
     Follows the proof's first term, which carries the extra C_p^d factor on the
-    spectral 1-norm; validity requires
-    |t| < min(sqrt(lam(1-lam)) pi delta^{-1/2}, (2e)^{l/2} lam^{-l/2} / eta).
-    The caller is responsible for Y having no degree-<=1 monomials.  Returns
-    inf when a term passes the float range, as it can for large ell.
+    spectral 1-norm; validity requires |t| < bp.t_limit.  The caller is
+    responsible for Y having no degree-<=1 monomials.  Returns inf when a term
+    passes the float range, as it can for large ell.
     """
     lam, ell, d, t, eta = bp.lam, bp.ell, bp.d, abs(bp.t), bp.eta
-    lim1 = math.sqrt(lam * (1.0 - lam)) * math.pi / math.sqrt(bp.delta) if bp.delta > 0 else math.inf
-    try:
-        lim2 = (2.0 * math.e) ** (ell / 2.0) * lam ** (-ell / 2.0) / eta if eta > 0 else math.inf
-    except OverflowError:
-        lim2 = math.inf
-    if not t < min(lim1, lim2):
-        raise DomainError(
-            f"|t|={t:.6g} outside validity range < min({lim1:.6g}, {lim2:.6g})"
-        )
+    if not t < bp.t_limit:
+        raise DomainError(f"|t|={t:.6g} outside validity range < {bp.t_limit:.6g}")
     try:
         eps = bp.epsilon
         total = ell * eps * (1.0 + (t * bp.cp**d * bp.spectral1) ** ell)

@@ -7,6 +7,7 @@ for bad arguments or a library error (one line on stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -31,8 +32,7 @@ from .cliques import CliqueSpec, exact_distribution, fr_function, kappa_function
 from .decoupling import build_color_partition, decoupling_check, exact_chf
 from .distributions import LatticeSpec, discrete_gaussian, l1_distance, linf_distance
 from .errors import CapacityError, DomainError
-from .ground import binom
-from .pbf import TABLE_EDGE_CAP, assignment_weights
+from .pbf import TABLE_EDGE_CAP, assignment_weights, check_table_cap
 from .sampling import MCConfig, empirical_chf_grid, sample_clique_laws, sample_kappa
 
 
@@ -91,7 +91,7 @@ def cmd_moments(args) -> int:
     ]
     extra = {}
     ok = True
-    if binom(spec.n, 2) <= TABLE_EDGE_CAP:
+    if spec.ground.size <= TABLE_EDGE_CAP:
         dist = exact_distribution(spec)
         enum_mu, enum_sigma2 = dist.mean(), dist.variance()
         extra["enum_mu"] = f"{enum_mu:.17g}"
@@ -120,11 +120,15 @@ def cmd_exact_dist(args) -> int:
 
 
 def cmd_llt_verify(args) -> int:
-    if args.n < 6:  # the trend needs the exact rows at n = 5 and 6
-        raise DomainError(f"llt-verify needs --n >= 6 for two exact rows to compare, got {args.n}")
     mc = MCConfig(seed=args.seed, samples=args.samples, workers=args.workers)
-    specs = [CliqueSpec(n=n, r=args.r, p=args.prob) for n in range(5, args.n + 1)]
+    first = max(5, args.r)  # sigma = 0 below n = r
+    specs = [CliqueSpec(n=n, r=args.r, p=args.prob) for n in range(first, args.n + 1)]
     exact = [spec for spec in specs if spec.ground.size <= TABLE_EDGE_CAP]
+    if len(exact) < 2:  # the trend compares the exact rows
+        raise DomainError(
+            f"llt-verify needs two exact rows (C(n,2) <= {TABLE_EDGE_CAP}) from n = {first} to --n {args.n},"
+            f" got {len(exact)}"
+        )
     # every n beyond the enumeration cap comes from one pass of draws
     dists = [exact_distribution(spec) for spec in exact] + sample_clique_laws(specs[len(exact) :], mc)
     rows = []
@@ -158,8 +162,7 @@ def cmd_chf_scan(args) -> int:
 
 def cmd_decoupling_check(args) -> int:
     spec = _spec(args)
-    if spec.ground.size > TABLE_EDGE_CAP:  # before fr_function, which takes seconds there
-        raise CapacityError(f"truth table capped at {TABLE_EDGE_CAP} edges, got {spec.ground.size}")
+    check_table_cap(spec.ground.size, "truth table")  # before fr_function, which takes seconds there
     half = spec.n // 2 + spec.n % 2
     part = build_color_partition(spec.n, 1, [half, spec.n - half])
     f = fr_function(spec)
@@ -195,7 +198,7 @@ def cmd_bounds_check(args) -> int:
     worst = math.inf
     for n in (20, 50):
         cap = 1.0 / (4.0 * berry_esseen_ln(n, p))
-        for t in np.linspace(0.01, cap, 40):
+        for t in np.linspace(min(0.01, cap / 2), cap, 40):
             bound, gap = berry_esseen_gap(n, p, float(t))
             worst = min(worst, bound - gap)
     record("berry_esseen", worst)
@@ -205,7 +208,7 @@ def cmd_bounds_check(args) -> int:
     weights = assignment_weights(f.ground.size, p)
     vals = f.table()
     exact4 = float(np.sum(weights * vals**4))
-    hp = HypParams(d=f.degree(), lam=min(p, 1 - p))
+    hp = HypParams(d=f.degree(), lam=spec.lam)
     record("hyperconc_moment", hyperconc_moment(hp, f.norm2(), 2.0) - exact4)
 
     # hypercontractive tail bound at the smallest valid threshold (probability <= 1 trivially below)
@@ -218,18 +221,18 @@ def cmd_bounds_check(args) -> int:
     x_part = kap.degree_slice(1)
     y_part = kap.tail(1)
     a2 = max(c * c for c in x_part.coeffs.values())
-    bp_t = 0.5
-    gap = abs(exact_chf(kap, bp_t) - exact_chf(x_part, bp_t))
     bp = BoundParams(
         ell=2,
         d=y_part.degree(),
-        t=bp_t,
+        t=0.0,
         T=x_part.variance(),
         delta=a2,
         eta=y_part.norm2(),
         spectral1=y_part.spectral_norm1(),
-        lam=min(p, 1 - p),
+        lam=spec.lam,
     )
+    bp = dataclasses.replace(bp, t=min(0.5, bp.t_limit / 2))  # t = 0.5 unless p is near 0 or 1
+    gap = abs(exact_chf(kap, bp.t) - exact_chf(x_part, bp.t))
     record("mainchf", mainchf_bound(bp) - float(gap))
 
     _emit(args, ["name", "margin", "pass"], rows, {"all_pass": ok})

@@ -12,9 +12,9 @@ from typing import Iterable
 import numpy as np
 
 from .distributions import EmpiricalDistribution, LatticeSpec
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .ground import EdgeGround, GraphAssignment, binom, support_vertices
-from .pbf import BUTTERFLY_BLOCK_BYTES, TABLE_EDGE_CAP, PBFunction, _butterfly, _mask, popcount_array
+from .pbf import BUTTERFLY_BLOCK_BYTES, TABLE_EDGE_CAP, PBFunction, _butterfly, _mask, check_table_cap, popcount_array
 
 EXACT_DISTRIBUTION_EDGE_CAP = TABLE_EDGE_CAP  # the name the benchmark's workloads read
 
@@ -337,11 +337,6 @@ def clique_edge_masks(ground: EdgeGround, r: int) -> list[int]:
     return masks
 
 
-def _check_enumeration_cap(m: int) -> None:
-    if m > TABLE_EDGE_CAP:
-        raise CapacityError(f"exhaustive enumeration capped at {TABLE_EDGE_CAP} edges, got {m}")
-
-
 def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
     """f_r(g) for every assignment bitmask g in [0, 2^C(n,2)), as a uint8 array.
 
@@ -362,7 +357,7 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
         raise DomainError(f"clique size must be >= 3, got r={r}")
     ground = EdgeGround(n)
     m = ground.size
-    _check_enumeration_cap(m)
+    check_table_cap(m, "exhaustive enumeration")
     counts = np.zeros(max(1 << m, 8), dtype=np.uint8)  # at least one word
     counts[clique_edge_masks(ground, r)] = 1
     words = counts.view("<u8")
@@ -421,7 +416,7 @@ def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
     TABLE_EDGE_CAP edges, as for every 2^m table.
     """
     m = spec.ground.size
-    _check_enumeration_cap(m)
+    check_table_cap(m, "exhaustive enumeration")
     hist = _peel_histogram(spec.n, spec.r)
     a, b = spec.p.as_integer_ratio()
     weight = [a**k * (b - a) ** (m - k) for k in range(m + 1)]
@@ -445,7 +440,7 @@ def fr_function(spec: CliqueSpec) -> PBFunction:
                 for S in combinations(all_edges, msize):
                     if len(support_vertices(ground, S)) == t:  # once, at its own support size
                         coeffs[_mask(S)] = fourier_coeff_fr(spec, S)
-    return PBFunction._from_masks(ground, spec.p, coeffs)
+    return PBFunction._exact(ground, spec.p, coeffs)
 
 
 def kappa_function(spec: CliqueSpec) -> PBFunction:
@@ -455,4 +450,4 @@ def kappa_function(spec: CliqueSpec) -> PBFunction:
         raise DomainError(f"sigma must be positive, got {sigma}")
     f = fr_function(spec)
     coeffs = {S: c / sigma for S, c in f._coeffs.items() if S}
-    return PBFunction._from_masks(f.ground, spec.p, coeffs)
+    return PBFunction._exact(f.ground, spec.p, coeffs)

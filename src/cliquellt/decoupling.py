@@ -13,9 +13,8 @@ import numpy as np
 from .distributions import SERIAL_BLAS_ENTRIES, chf_sum
 from .errors import DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
-from . import sampling
 from .pbf import PBFunction, _edges, _mask, assignment_weights, popcount_array
-from .sampling import MCConfig
+from .sampling import CHUNK_DRAWS, MCConfig
 
 
 @dataclass(frozen=True)
@@ -287,10 +286,10 @@ def decoupling_check(
     pick = np.array([[2 * j + v[part.block_of[e] - 1] for j, e in enumerate(y_edges)] for v in vs], dtype=np.intp)
     y_edge_bits = np.array([1 << e for e in y_edges], dtype=np.int64)
     # g, its gather indices and the gathered values: a quarter of CHUNK_DRAWS entries each
-    step = max(1, sampling.CHUNK_DRAWS // (4 * x_index.size))
+    step = max(1, CHUNK_DRAWS // (4 * x_index.size))
 
     abs_vals: list[list[np.ndarray]] = [[] for _ in ts]
-    for draws in mc.edge_draws(2 * len(y_edges), f.p):
+    for _, draws in mc.edge_draws([2 * len(y_edges)], f.p):
         y_masks = draws[:, pick] @ y_edge_bits  # (rows, 2^k): the edge mask of each Y^v
         for lo in range(0, len(y_masks), step):
             block = y_masks[lo : lo + step]

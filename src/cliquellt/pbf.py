@@ -2,7 +2,9 @@
 
 Functions are stored in the orthonormal chi basis: chi_e = (x_e - p)/sqrt(p(1-p)),
 chi_S = prod_{e in S} chi_e.  Coefficients are a sparse map from edge bitmasks
-to reals; anything below PRUNE_TOL after arithmetic is dropped.
+to reals; anything below PRUNE_TOL after arithmetic is dropped as rounding
+residue.  Exact coefficients (closed forms, and slices of a function) are kept
+whatever their size.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ PRUNE_TOL = 1e-14
 # chfs): at m = 21 one float64 table is 16 MB, and each edge more doubles it.
 TABLE_EDGE_CAP = 21
 BUTTERFLY_BLOCK_BYTES = 1 << 19  # one block of a butterfly pass stays in L2
+
+
+def check_table_cap(m: int, what: str) -> None:
+    """CapacityError when a 2^m table of ``what`` is past TABLE_EDGE_CAP edges."""
+    if m > TABLE_EDGE_CAP:
+        raise CapacityError(f"{what} capped at {TABLE_EDGE_CAP} edges, got {m}")
 
 
 def _mask(edges: Iterable[int]) -> int:
@@ -74,8 +82,14 @@ class PBFunction:
 
     @classmethod
     def _from_masks(cls, ground, p: float, coeffs: Mapping[int, float]) -> "PBFunction":
+        """The result of arithmetic: coefficients below PRUNE_TOL are dropped."""
+        return cls._exact(ground, p, {S: c for S, c in coeffs.items() if abs(c) > PRUNE_TOL})
+
+    @classmethod
+    def _exact(cls, ground, p: float, coeffs: Mapping[int, float]) -> "PBFunction":
+        """Every coefficient kept, however small: at p near 0 or 1 an exact one can be below PRUNE_TOL."""
         f = cls(ground, p, {})
-        f._coeffs = {S: float(c) for S, c in coeffs.items() if abs(c) > PRUNE_TOL}
+        f._coeffs = {S: float(c) for S, c in coeffs.items()}
         return f
 
     @cached_property
@@ -134,8 +148,7 @@ class PBFunction:
         edge's key bit into its assignment bit.  Inverse of fourier_transform.
         """
         m = self.ground.size
-        if m > TABLE_EDGE_CAP:
-            raise CapacityError(f"truth table capped at {TABLE_EDGE_CAP} edges, got {m}")
+        check_table_cap(m, "truth table")
         v = np.zeros(1 << m)
         v[list(self._coeffs)] = list(self._coeffs.values())
         c0, c1 = chi_value(self.p, 0), chi_value(self.p, 1)
@@ -194,14 +207,14 @@ class PBFunction:
         if k < 0:
             raise DomainError("degree must be nonnegative")
         out = {S: c for S, c in self._coeffs.items() if S.bit_count() == k}
-        return PBFunction._from_masks(self.ground, self.p, out)
+        return PBFunction._exact(self.ground, self.p, out)
 
     def tail(self, k: int) -> "PBFunction":
         """Keep exactly the keys with |S| > k."""
         if k < 0:
             raise DomainError("degree must be nonnegative")
         out = {S: c for S, c in self._coeffs.items() if S.bit_count() > k}
-        return PBFunction._from_masks(self.ground, self.p, out)
+        return PBFunction._exact(self.ground, self.p, out)
 
     # -- restriction -----------------------------------------------------
 
@@ -334,8 +347,7 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
     Inverse of PBFunction.table.
     """
     m = ground.size
-    if m > TABLE_EDGE_CAP:
-        raise CapacityError(f"exhaustive transform capped at {TABLE_EDGE_CAP} edges, got {m}")
+    check_table_cap(m, "exhaustive transform")
     v = np.array(table, dtype=np.float64)
     if v.shape != (1 << m,):
         raise DomainError(f"table must have length 2^{m}")

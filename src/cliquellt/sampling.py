@@ -13,7 +13,7 @@ from .distributions import EmpiricalDistribution, LatticeSpec, chf_sum, phase_bl
 from .errors import DomainError
 
 
-# edge draws per chunk of MCConfig.edge_draws_many: a 1 MB block of doubles.  The
+# edge draws per chunk of MCConfig.edge_draws: a 1 MB block of doubles.  The
 # clique kernel packs the draws one bit each, and its one scratch buffer, the
 # pair block, holds one uint64 per draw of half the edges, reused for each word
 # of a row, so it is about CHUNK_DRAWS / 2 words: whatever the width, a chunk's
@@ -54,16 +54,7 @@ class MCConfig:
         base, extra = divmod(self.samples, self.workers)
         return [base + (1 if w < extra else 0) for w in range(self.workers)]
 
-    def edge_draws(self, width: int, p: float) -> Iterator[np.ndarray]:
-        """Each sample's row of ``width`` Bernoulli(p) draws, in (worker, sample) order.
-
-        The one-width case of edge_draws_many: (rows, width) bool chunks of
-        about CHUNK_DRAWS draws, each valid only until the next is requested.
-        """
-        for _, edges in self.edge_draws_many([width], p):
-            yield edges
-
-    def edge_draws_many(self, widths: list[int], p: float) -> Iterator[tuple[int, np.ndarray]]:
+    def edge_draws(self, widths: list[int], p: float) -> Iterator[tuple[int, np.ndarray]]:
         """(i, rows) chunks of every sample's row of ``widths[i]`` Bernoulli(p) draws, from one pass.
 
         Worker w's rows of width m are the first quota_w * m uniforms of its
@@ -127,7 +118,7 @@ def sample_clique_counts(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
     """
     out = np.empty(mc.samples, dtype=np.int64)
     done = 0
-    for edges in mc.edge_draws(spec.ground.size, spec.p):
+    for _, edges in mc.edge_draws([spec.ground.size], spec.p):
         out[done : done + len(edges)] = count_cliques_batch(edges, spec.n, spec.r)
         done += len(edges)
     return out
@@ -136,7 +127,7 @@ def sample_clique_counts(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
 def sample_clique_laws(specs: list[CliqueSpec], mc: MCConfig) -> list[EmpiricalDistribution]:
     """Each spec's Monte Carlo law of the clique count on the integers, from one pass of draws.
 
-    The specs share one p.  Each chunk of ``mc.edge_draws_many`` goes to
+    The specs share one p.  Each chunk of ``mc.edge_draws`` goes to
     count_cliques_batch, and the np.bincount of its counts is added into the
     spec's histogram, which grows to the largest count seen.  So spec k's law
     has the masses counts/N of ``sample_clique_counts(specs[k], mc)`` bit for
@@ -149,7 +140,7 @@ def sample_clique_laws(specs: list[CliqueSpec], mc: MCConfig) -> list[EmpiricalD
     if any(spec.p != p for spec in specs):
         raise DomainError(f"one pass of draws needs one p, got {sorted({spec.p for spec in specs})}")
     hists = [np.zeros(0, dtype=np.int64) for _ in specs]
-    for i, edges in mc.edge_draws_many([spec.ground.size for spec in specs], p):
+    for i, edges in mc.edge_draws([spec.ground.size for spec in specs], p):
         hist = np.bincount(count_cliques_batch(edges, specs[i].n, specs[i].r), minlength=hists[i].size)
         hist[: hists[i].size] += hists[i]
         hists[i] = hist

@@ -275,6 +275,17 @@ def test_mainchf_monotone_in_t_and_eta():
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_mainchf_t_limit_is_the_limit_it_checks():
+    bp = BoundParams(ell=2, d=2, t=0.0, T=1.0, delta=0.3, eta=0.7, spectral1=1.0, lam=0.2)
+    lim1 = math.sqrt(0.2 * 0.8) * math.pi / math.sqrt(0.3)
+    lim2 = (2.0 * math.e) / 0.2 / 0.7
+    assert bp.t_limit == pytest.approx(min(lim1, lim2), rel=1e-15)
+    assert math.isfinite(mainchf_bound(BoundParams(**{**vars(bp), "t": math.nextafter(bp.t_limit, 0.0)})))
+    with pytest.raises(DomainError, match="outside validity range"):
+        mainchf_bound(BoundParams(**{**vars(bp), "t": bp.t_limit}))
+    assert BoundParams(**{**vars(bp), "delta": 0.0, "eta": 0.0}).t_limit == math.inf
+
+
 def test_mainchf_validity_errors():
     bp = BoundParams(ell=1, d=2, t=50.0, T=1.0, delta=1.0, eta=1.0, spectral1=1.0, lam=0.5)
     with pytest.raises(DomainError):

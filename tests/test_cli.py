@@ -172,6 +172,39 @@ def test_llt_verify_rejects_bad_monte_carlo_options_when_every_row_is_exact(argv
     assert captured.err.startswith("cliquellt: error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("p", ["1e-15", "1e-12", "1e-9", "1e-6", "1e-3", "0.4", "0.999", "0.9999", "0.999999"])
+def test_bounds_check_runs_at_any_p(p, capsys, monkeypatch):
+    # regression: mainchf at a fixed t = 0.5 was past its validity limit at
+    # p = 0.999, the Berry-Esseen grid started past its cap at p = 1e-6, and
+    # the pruned degree-1 part of kappa left max() an empty sequence there
+    monkeypatch.setattr(sys, "argv", ["cliquellt", "bounds-check", "--p", p])
+    assert cliquellt.cli._program() in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _, columns, rows = parse_csv(captured.out)
+    assert columns == ["name", "margin", "pass"] and len(rows) == 5
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_llt_verify_rows_start_where_sigma_is_positive(r, capsys, monkeypatch):
+    # regression: the rows started at n = 5 whatever r, and sigma = 0 there for r >= 6
+    monkeypatch.setattr(sys, "argv", ["cliquellt", "llt-verify", "--n", "8", "--r", str(r), "--samples", "200"])
+    assert cliquellt.cli._program() in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _, _, rows = parse_csv(captured.out)
+    assert [int(row[0]) for row in rows] == list(range(max(5, r), 9))
+
+
+def test_llt_verify_without_two_exact_rows_is_one_line_and_exit_2(capsys, monkeypatch):
+    # at r = 7 the rows start at n = 7, and n = 8 is past the enumeration cap
+    monkeypatch.setattr(sys, "argv", ["cliquellt", "llt-verify", "--n", "8", "--r", "7", "--samples", "200"])
+    assert cliquellt.cli._program() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cliquellt: error: llt-verify needs two exact rows") and captured.err.count("\n") == 1
+
+
 def test_exhaustive_law_above_the_edge_cap_is_a_capacity_error():
     # exact-dist has no Monte Carlo fallback: 28 edges stay an error, with the same message
     env = dict(os.environ, PYTHONPATH=str(Path(cliquellt.__file__).resolve().parents[1]))

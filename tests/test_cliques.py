@@ -158,7 +158,7 @@ def test_batch_kernel_many_words():
 def test_batch_kernel_at_real_chunk_heights(n, r, height, step):
     # one full chunk of MCConfig.edge_draws, as sample_clique_counts passes it; every step-th row checked
     ground = EdgeGround(n)
-    edges = next(MCConfig(seed=n + r, samples=height).edge_draws(ground.size, 0.5))
+    _, edges = next(MCConfig(seed=n + r, samples=height).edge_draws([ground.size], 0.5))
     assert edges.shape == (height, ground.size)
     counts = count_cliques_batch(edges, n, r)
     for row, counted in zip(edges[::step], counts[::step]):
@@ -391,6 +391,21 @@ def test_fourier_coeff_fr_pinned_values():
     assert fourier_coeff_fr(spec, [0]) == pytest.approx(1.0 / 8.0)
     big_support = [0, 1, 3, 5]  # spans all of K_4's vertices inside n=4
     assert fourier_coeff_fr(CliqueSpec(n=4, r=3, p=0.5), big_support) == 0.0
+
+
+def test_exact_coefficients_survive_below_the_prune_tolerance():
+    # regression: fr_function pruned its closed-form coefficients as if they
+    # were rounding residue, so at p = 1e-6 it lost the mean and every degree-1
+    # term (40 of 51 terms left), at p = 1e-12 tail(1) left degree 0, and at
+    # p = 1e-15 kappa_function lost its degree-1 part
+    spec = CliqueSpec(n=5, r=3, p=1e-6)
+    f = fr_function(spec)
+    assert len(f.coeffs) == 51
+    assert f.expectation() == mean(spec)
+    assert len(f.degree_slice(1).coeffs) == 10
+    assert len(kappa_function(CliqueSpec(n=5, r=3, p=1e-15)).degree_slice(1).coeffs) == 10
+    g = fr_function(CliqueSpec(n=4, r=3, p=1e-12))
+    assert g.tail(1).degree() == g.degree() == 3
 
 
 def test_fr_function_matches_counts():

@@ -419,7 +419,7 @@ def test_decoupling_check_rhs_against_alpha_pointwise(sizes):
     for bits in itertools.product((0, 1), repeat=len(x_edges)):
         xs.append((p ** sum(bits) * (1 - p) ** (len(bits) - sum(bits)), dict(zip(x_edges, bits))))
     inner = {t: [] for t in ts}
-    for rows in mc.edge_draws(2 * len(y_edges), p):
+    for _, rows in mc.edge_draws([2 * len(y_edges)], p):
         for row in rows.tolist():
             y_bits = {e: (int(row[2 * j]), int(row[2 * j + 1])) for j, e in enumerate(y_edges)}
             g = [(w, alpha_pointwise(f, part, x_bits, y_bits)) for w, x_bits in xs]

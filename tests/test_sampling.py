@@ -34,8 +34,8 @@ def test_mcconfig_validation_and_quotas():
 def test_edge_draws_edge_count_mean():
     n, p, reps = 50, 0.3, 10_000
     m = n * (n - 1) // 2
-    rows = MCConfig(seed=1234, samples=reps, workers=2).edge_draws(m, p)
-    counts = np.concatenate([edges.sum(axis=1) for edges in rows])
+    rows = MCConfig(seed=1234, samples=reps, workers=2).edge_draws([m], p)
+    counts = np.concatenate([edges.sum(axis=1) for _, edges in rows])
     assert counts.size == reps
     se = math.sqrt(m * p * (1 - p) / reps)
     assert abs(float(np.mean(counts)) - p * m) <= 4 * se
@@ -87,7 +87,7 @@ def test_draws_same_for_any_chunk_height(monkeypatch):
             ref = sample_clique_counts(spec, mc)
             assert ref.shape == (301,) and ref.dtype == np.int64
             for rows in (1, 7, 64):
-                assert with_rows(rows, 55, lambda: max(len(edges) for edges in mc.edge_draws(55, 0.5))) == rows
+                assert with_rows(rows, 55, lambda: max(len(edges) for _, edges in mc.edge_draws([55], 0.5))) == rows
                 assert np.array_equal(ref, with_rows(rows, 55, lambda: sample_clique_counts(spec, mc)))
     # more workers than samples: the idle substreams contribute nothing
     few = MCConfig(seed=17, samples=3, workers=4)
