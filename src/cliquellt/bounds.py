@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -149,8 +150,9 @@ def hyperconc_moment(hp: HypParams, norm2: float, q: float) -> float:
     """Bound on E[|f|^{2q}] for degree-<=d f: (2q-1)^{dq} lambda^{d(1-q)} norm2^{2q}.
 
     At q=1 this reduces to exactly E[f^2]; the lambda exponent d(1-q) is forced
-    by Jensen (E|f|^{2q} >= norm2^{2q} for q >= 1).  Returns inf when a factor
-    passes the float range.
+    by Jensen (E|f|^{2q} >= norm2^{2q} for q >= 1).  Where norm2^{2q}
+    underflows (p near 1e-100) the product is taken in log space.  Returns inf
+    when a factor passes the float range.
     """
     if not q >= 1:
         raise DomainError(f"moment order q must be >= 1, got {q}")
@@ -159,9 +161,14 @@ def hyperconc_moment(hp: HypParams, norm2: float, q: float) -> float:
     try:
         growth = (2.0 * q - 1.0) ** (hp.d * q) * hp.lam ** (hp.d * (1.0 - q))
         # inf * 0.0 would be nan; inf is still an upper bound
-        return growth * norm2 ** (2.0 * q) if growth < math.inf else math.inf
+        bound = growth * norm2 ** (2.0 * q) if growth < math.inf else math.inf
     except OverflowError:
         return math.inf
+    if norm2 > 0.0 and bound < sys.float_info.min:
+        # norm2^{2q} underflowed, so the bound is below about growth * 2^-1022 < 4: no overflow
+        log_growth = hp.d * q * math.log(2.0 * q - 1.0) + hp.d * (1.0 - q) * math.log(hp.lam)
+        return math.exp(log_growth + 2.0 * q * math.log(norm2))
+    return bound
 
 
 # -- main characteristic-function comparison bound --------------------------------

@@ -343,28 +343,69 @@ def _passes(v: np.ndarray, bits: Iterable[int], step: Callable, tmp: np.ndarray)
 def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
     """Exhaustive p-biased transform of a full truth table.
 
-    ``table`` is an array of length 2^m indexed by assignment bitmask.
-    Inverse of PBFunction.table.
+    ``table`` is an array of length 2^m indexed by assignment bitmask; it is
+    not written.  Inverse of PBFunction.table.
+
+    Write f = sum_T a_T prod_{e in T} x_e.  Each x_e = p + root chi_e, with
+    root = sqrt(p(1-p)), so fhat(S) = root^|S| sum_{T >= S} a_T p^|T - S|.
+    The transform is one Moebius pass (per edge v1 -= v0) on a copy of the
+    table, which gives the a_T, then that weighted superset sum, on one of
+    two branches:
+
+    - while sum_T 2^|T| over the support {T : a_T != 0} is at most 2^m / 64,
+      the sum runs over (mask, value) arrays of the support and its subsets
+      only: per edge, every entry with the edge adds p times itself to the
+      entry without it.  A clique count is such a table (its a_T are the 0/1
+      clique-mask indicator: 35 of 2^21 at n = 7, r = 3);
+    - otherwise one ``v0 += p v1`` butterfly pass and one root^popcount scale
+      run on the whole table in float64, so a dense table gains nothing.
+
+    The sparse steps sort up to sum_T 2^|T| entries per edge.  The 1/64 is
+    set by measurement (2-core host, numpy 2.4): at m = 15..21 the sparse
+    steps then cost at most about half the dense pass even when the subsets
+    of the support barely overlap, and a tenth of it at m = 21; below m = 15
+    either branch takes well under a millisecond.
+    An integer or bool table with max|f| 2^m < 2^31 takes an int32 copy, on
+    which the Moebius pass is exact (every partial sum is at most 2^m max|f|
+    in size); any other table takes a float64 one.
     """
     m = ground.size
     check_table_cap(m, "exhaustive transform")
-    v = np.array(table, dtype=np.float64)
-    if v.shape != (1 << m,):
+    table = np.asarray(table)
+    if table.shape != (1 << m,):
         raise DomainError(f"table must have length 2^{m}")
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0,1), got {p}")
+    exact = table.dtype.kind in "biu" and max(-int(table.min()), int(table.max())) << m < 1 << 31
+    v = np.array(table, dtype=np.int32 if exact else np.float64)
 
-    # Per-edge butterfly: the weighted transform factorizes over edges.
-    q, root = 1.0 - p, math.sqrt(p * (1.0 - p))
-
-    def step(v0, v1, tmp):
-        np.multiply(v1, p, out=tmp)
+    def moebius(v0, v1, tmp):
         v1 -= v0
-        v1 *= root  # root (v1 - v0)
-        v0 *= q
-        v0 += tmp  # (1-p) v0 + p v1
 
-    _butterfly(v, m, step)
+    _butterfly(v, m, moebius)
+    powers = math.sqrt(p * (1.0 - p)) ** np.arange(m + 1)  # root^|S|
+    support = v != 0
+    sparse = np.count_nonzero(support) << 6 <= v.size  # sum_T 2^|T| >= |support|: skips a dense mask list
+    if sparse:
+        masks = np.flatnonzero(support)
+        sparse = int(np.sum(1 << np.bitwise_count(masks).astype(np.int64))) << 6 <= v.size
+    if sparse:
+        vals = v[masks].astype(np.float64)
+        for e in range(m):
+            has = (masks & (1 << e)) != 0
+            if has.any():
+                masks, inv = np.unique(np.concatenate((masks, masks[has] ^ (1 << e))), return_inverse=True)
+                vals = np.bincount(inv, weights=np.concatenate((vals, p * vals[has])))
+        vals *= powers[np.bitwise_count(masks)]
+    else:
+        vals = v.astype(np.float64, copy=False)
 
-    nz = np.nonzero((v > PRUNE_TOL) | (v < -PRUNE_TOL))[0]
-    return PBFunction._from_masks(ground, p, dict(zip(nz.tolist(), v[nz].tolist())))
+        def weighted(v0, v1, tmp):
+            np.multiply(v1, p, out=tmp)
+            v0 += tmp
+
+        _butterfly(vals, m, weighted)
+        vals *= powers[popcount_array(m)]
+        masks = np.arange(vals.size)
+    keep = (vals > PRUNE_TOL) | (vals < -PRUNE_TOL)
+    return PBFunction._from_masks(ground, p, dict(zip(masks[keep].tolist(), vals[keep].tolist())))

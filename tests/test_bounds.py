@@ -308,6 +308,13 @@ def test_hyperconc_moment_past_the_float_range_is_inf():
     assert hyperconc_moment(HypParams(10, 0.5), 0.0, 1000.0) == math.inf  # not inf * 0 = nan
 
 
+def test_hyperconc_moment_keeps_its_value_where_norm2_power_underflows():
+    # regression: norm2^4 = (2e-150)^4 underflowed to 0.0, so the bound read 0
+    # where 3^6 * 1e300 * 1.6e-599, about 1.2e-296, is a normal float
+    assert hyperconc_moment(HypParams(3, 1e-100), 2e-150, 2.0) == pytest.approx(3**6 * 1.6e-299, rel=1e-12, abs=0.0)
+    assert hyperconc_moment(HypParams(3, 0.5), 1e-200, 1.0) == 0.0  # the bound itself underflows
+
+
 def test_mainchf_past_the_float_range_is_inf():
     # (ell+1)! for ell=200 is past the float range; dividing by it used to raise OverflowError
     bp = BoundParams(ell=200, d=3, t=0.5, T=1.0, delta=0.1, eta=0.5, spectral1=2.0, lam=0.5)

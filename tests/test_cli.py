@@ -185,6 +185,14 @@ def test_bounds_check_runs_at_any_p(p, capsys, monkeypatch):
     assert columns == ["name", "margin", "pass"] and len(rows) == 5
 
 
+def test_bounds_check_passes_every_margin_at_p_1e_100(capsys, monkeypatch):
+    # regression: hyperconc_moment's norm2^4 underflowed to 0, a margin of -4e-300 and exit 1
+    monkeypatch.setattr(sys, "argv", ["cliquellt", "bounds-check", "--p", "1e-100"])
+    assert cliquellt.cli._program() == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 5 and all(float(margin) >= 0 and ok == "1" for _, margin, ok in rows)
+
+
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
 def test_llt_verify_rows_start_where_sigma_is_positive(r, capsys, monkeypatch):
     # regression: the rows started at n = 5 whatever r, and sigma = 0 there for r >= 6

@@ -169,6 +169,73 @@ def test_transform_edge_count_table_and_cap():
                 run(g)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("r", [3, 4])
+def test_transform_of_clique_counts_matches_the_closed_form(n, r):
+    # both branches: the Moebius support of the counts is sparse at n = 7 (r = 3, 4)
+    # and n = 6 (r = 3), too wide for it at n = 5 and at n = 6, r = 4
+    table = counts_over_all_graphs(n, r)
+    for p in (0.5, 0.3, 0.37):
+        f, g = fr_function(CliqueSpec(n, r, p)), fourier_transform(table, EdgeGround(n), p)
+        assert sorted(f._coeffs) == list(g._coeffs)  # the same keys, in ascending mask order
+        if p == 0.5:  # integer a_T and powers of 1/2: every step is exact
+            assert g._coeffs == f._coeffs
+        else:  # within 16 ulp of the largest coefficient
+            tol = 16 * np.spacing(max(abs(c) for c in f._coeffs.values()))
+            assert max(abs(g._coeffs[S] - c) for S, c in f._coeffs.items()) <= tol
+
+
+def _transform_bits(table, m, p):
+    g = fourier_transform(table, SimpleNamespace(size=m), p)
+    return list(g._coeffs), np.array(list(g._coeffs.values())).view(np.uint64).tolist()
+
+
+def test_transform_of_an_integer_table_does_not_depend_on_its_dtype():
+    has = counts_over_all_graphs(6, 3) > 0  # one 0/1 table, at m = 15 (dense branch)
+    counts = counts_over_all_graphs(7, 3)  # sparse branch
+    for table, m, dtypes in ((has, 15, (np.bool_, np.uint8, np.int64)), (counts, 21, (np.uint8, np.int64))):
+        for p in (0.5, 0.3):
+            want = _transform_bits(table.astype(np.float64), m, p)
+            for dtype in dtypes:
+                assert _transform_bits(table.astype(dtype), m, p) == want, (m, p, dtype)
+
+
+def test_transform_runs_the_moebius_pass_in_int32_only_below_its_overflow(monkeypatch):
+    dtypes = []
+
+    def recording(v, m, step):
+        dtypes.append(v.dtype)
+        return _butterfly(v, m, step)
+
+    monkeypatch.setattr(pbf, "_butterfly", recording)
+    m, top = 3, 1 << 28  # max|f| 2^m = 2^31: past the int32 range
+    # signs (-1)^|g| drive the top Moebius coefficient to -2^m max|f|
+    signs = 1 - 2 * (popcount_array(m).astype(np.int64) & 1)
+    for big, copy in ((top - 1, np.int32), (top, np.float64)):
+        for table in (big * signs, -big * signs):  # max|f| from the max, then from the min
+            dtypes.clear()
+            got = _transform_bits(table, m, 0.5)
+            assert dtypes[0] == copy
+            assert got == _transform_bits(table.astype(np.float64), m, 0.5)
+            # f = f(0) prod_e (1 - 2 x_e) = f(0) (-1)^m chi_[m] at p = 1/2
+            assert fourier_transform(table, SimpleNamespace(size=m), 0.5).coeffs == {frozenset(range(m)): -table[0]}
+    lowest = np.full(1 << m, np.iinfo(np.int64).min)  # -int64 min is past int64: never abs() it
+    dtypes.clear()
+    assert _transform_bits(lowest, m, 0.5) == _transform_bits(lowest.astype(np.float64), m, 0.5)
+    assert dtypes[0] == np.float64
+
+
+def test_transform_leaves_the_callers_table_as_it_was():
+    for table, m in (
+        (counts_over_all_graphs(7, 3), 21),  # int32 copy, sparse branch
+        (np.random.default_rng(3).random(1 << 10), 10),  # float64 copy, dense branch
+        (np.arange(1 << 10, dtype=np.int32), 10),  # an int32 table is copied too
+    ):
+        before = table.copy()
+        fourier_transform(table, SimpleNamespace(size=m), 0.37)
+        assert table.dtype == before.dtype and np.array_equal(table, before)
+
+
 TABLE_CASES = dict(
     n=st.integers(1, 5),
     p=st.floats(0.1, 0.9),
@@ -417,6 +484,21 @@ def _per_edge_butterfly(v, m, step):
 
 
 BLOCK_EDGES = (pbf.BUTTERFLY_BLOCK_BYTES // 8).bit_length() - 1  # float64 entries per block, log2
+# Worst error of a transform coefficient, relative to the largest one: the
+# Moebius pass and superset sum round in another order than the fused step.
+TRANSFORM_RTOL = 1e-13
+
+
+def _moebius_step(v0, v1, tmp):
+    v1 -= v0
+
+
+def _weighted_step(p):
+    def step(v0, v1, tmp):
+        np.multiply(v1, p, out=tmp)
+        v0 += tmp
+
+    return step
 
 
 @pytest.mark.parametrize("m", sorted({0, 1, 3, 10, 15, 21, BLOCK_EDGES, BLOCK_EDGES + 1}))
@@ -432,13 +514,28 @@ def test_blocked_butterfly_keeps_the_bits_of_the_per_edge_loop(m):
         table = np.zeros(1 << m)
         table[masks] = 1.0
         _per_edge_butterfly(table, m, lambda v0, v1: (v0, v1 + v0))
+    # the transform's Moebius pass, on its int32 and float64 copies
+    for dtype in (np.int32, np.float64):
+        ints = np.rint(table * 1000).astype(dtype)
+        got = _butterfly(ints.copy(), m, _moebius_step)
+        assert np.array_equal(got, _per_edge_butterfly(ints.copy(), m, lambda v0, v1: (v0, v1 - v0)))
+    moebius = _butterfly(table.copy(), m, _moebius_step)
+    assert np.array_equal(
+        moebius.view(np.uint64),
+        _per_edge_butterfly(table.copy(), m, lambda v0, v1: (v0, v1 - v0)).view(np.uint64),
+    )
     for p in (0.5, 0.3, 0.37):
+        # its dense weighted superset sum, v0 += p v1
+        got = _butterfly(moebius.copy(), m, _weighted_step(p))
+        ref = _per_edge_butterfly(moebius.copy(), m, lambda v0, v1: (v0 + p * v1, v1))
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # the whole transform, against the former fused per-edge step
         root = math.sqrt(p * (1.0 - p))
         ref = _per_edge_butterfly(table.copy(), m, lambda v0, v1: ((1.0 - p) * v0 + p * v1, root * (v1 - v0)))
         nz = np.nonzero(np.abs(ref) > PRUNE_TOL)[0]
         got = fourier_transform(table, ground, p).coeffs
         assert list(got) == [frozenset(i for i in range(m) if g >> i & 1) for g in nz.tolist()]
-        assert np.array_equal(np.array(list(got.values())).view(np.uint64), ref[nz].view(np.uint64))
+        np.testing.assert_allclose(list(got.values()), ref[nz], rtol=0.0, atol=TRANSFORM_RTOL * np.abs(ref).max())
 
         f = PBFunction(ground, p, {S: rng.normal() for S in keys})
         c0, c1 = chi_value(p, 0), chi_value(p, 1)
@@ -501,8 +598,8 @@ COEFFICIENT_DIGESTS = {  # sha256 prefix of each output's (sorted key, value) li
     "restrict(f,0.5)": "abc74a9526230cdc",
     "multiply(g,g,0.3)": "41073072f7941e7d",
     "fourier_transform(counts(7,3),0.5)": "969e45200e59ea64",
-    "fourier_transform(counts(7,3),0.3)": "a2b81b383756b97a",
-    "fourier_transform(counts(7,3),0.37)": "dc8837cc475874ec",
+    "fourier_transform(counts(7,3),0.3)": "0f1853fc87ac79ac",
+    "fourier_transform(counts(7,3),0.37)": "68c3ef949d4f38cf",
 }
 
 
