@@ -26,7 +26,6 @@ from .cliques import (
     mean,
     moments,
     variance,
-    weight_profile,
 )
 from .decoupling import (
     BlockPartition,

@@ -7,14 +7,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .distributions import EmpiricalDistribution, LatticeSpec
 from .errors import DomainError
 from .ground import EdgeGround, GraphAssignment, binom, support_vertices
-from .pbf import BUTTERFLY_BLOCK_BYTES, TABLE_EDGE_CAP, PBFunction, _butterfly, _mask, check_table_cap, popcount_array
+from .pbf import BUTTERFLY_BLOCK_BYTES, TABLE_EDGE_CAP, PBFunction, _butterfly, check_table_cap, popcount_array
 
 EXACT_DISTRIBUTION_EDGE_CAP = TABLE_EDGE_CAP  # the name the benchmark's workloads read
 
@@ -142,16 +142,10 @@ def variance_leading_coefficient(r: int, p: float) -> float:
     return _ratio(a**e * (b - a), den, f"variance leading coefficient at r={r}, p={p}")
 
 
-def weight_profile(spec: CliqueSpec) -> tuple[float, float]:
-    """(W^1, W^{>1}) of kappa: W^1 = C(n,2) f_r_hat({uv})^2 / sigma^2 and its complement,
-    correctly rounded; DomainError when sigma = 0 (n < r)."""
-    num, edge, _ = _variance_terms(spec)
-    w1 = _ratio(binom(spec.n, 2) * edge, num, f"degree-1 weight of {spec}")
-    return w1, 1.0 - w1
-
-
 def moments(spec: CliqueSpec) -> CliqueMoments:
-    """mean, variance and weight_profile, from one build of the variance numerator."""
+    """mean, variance and the weight profile (W^1, W^{>1}) of kappa, from one build of the
+    variance numerator.  W^1 = C(n,2) f_r_hat({uv})^2 / sigma^2, correctly rounded, and
+    W^{>1} = 1 - W^1; DomainError when sigma = 0 (n < r)."""
     num, edge, den = _variance_terms(spec)
     w1 = _ratio(binom(spec.n, 2) * edge, num, f"degree-1 weight of {spec}")
     s2 = _ratio(num, den, f"variance of {spec}")
@@ -328,13 +322,8 @@ def count_cliques_batch(edge_bits: np.ndarray, n: int, r: int) -> np.ndarray:
 
 def clique_edge_masks(ground: EdgeGround, r: int) -> list[int]:
     """Edge bitmask of every r-clique of K_n (one per r-subset of vertices)."""
-    masks = []
-    for verts in combinations(range(1, ground.n + 1), r):
-        mask = 0
-        for a, b in combinations(verts, 2):
-            mask |= 1 << ground.index(a, b)
-        masks.append(mask)
-    return masks
+    cliques = combinations(range(1, ground.n + 1), r)
+    return [sum(1 << ground.index(a, b) for a, b in combinations(verts, 2)) for verts in cliques]
 
 
 def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
@@ -429,18 +418,44 @@ def exact_distribution(spec: CliqueSpec) -> EmpiricalDistribution:
 # -- Fourier expansion as an explicit PBFunction (small n) -----------------
 
 
+def _unions(bits: list[int]) -> list[int]:
+    """Entry L is the union of bits[e] over the set bits e of L, for every L < 2^len(bits)."""
+    out = [0]
+    for b in bits:
+        out += [x | b for x in out]
+    return out
+
+
+def _terms_spanning(spec: CliqueSpec, t: int) -> Iterator[tuple[int, float]]:
+    """(edge mask, fhat) for every edge set of K_n spanning exactly t vertices.
+
+    fhat(S) depends on |S| and t alone.  So the edge sets of K_t on local
+    vertices 0..t-1 that touch all t are listed once, as local edge masks by
+    size and then in combinations order, with one fourier_coeff_fr value per
+    size.  Each t-vertex set maps local masks to masks of K_n through one
+    table, the _unions of its edges' bits by ground.index.
+    """
+    ground, local = spec.ground, list(combinations(range(t), 2))
+    touched = _unions([1 << a | 1 << b for a, b in local])
+    by_size = []  # (value, patterns)
+    for size in range(1, len(local) + 1):
+        masks = map(sum, combinations([1 << e for e in range(len(local))], size))
+        patterns = [L for L in masks if touched[L] == (1 << t) - 1]
+        if patterns:
+            rep = [ground.index(a + 1, b + 1) for e, (a, b) in enumerate(local) if patterns[0] >> e & 1]
+            by_size.append((fourier_coeff_fr(spec, rep), patterns))
+    for verts in combinations(range(1, spec.n + 1), t):
+        placed = _unions([1 << ground.index(verts[a], verts[b]) for a, b in local])
+        for c, patterns in by_size:
+            yield from ((placed[L], c) for L in patterns)
+
+
 def fr_function(spec: CliqueSpec) -> PBFunction:
-    """f_r as a sparse PBFunction, from the closed-form coefficients."""
-    ground = spec.ground
+    """f_r as a sparse PBFunction: the mean, then the terms spanning t = 2..min(r, n) vertices."""
     coeffs = {0: mean(spec)}
-    for t in range(2, spec.r + 1):
-        for verts in combinations(range(1, spec.n + 1), t):
-            all_edges = [ground.index(a, b) for a, b in combinations(verts, 2)]
-            for msize in range(1, len(all_edges) + 1):
-                for S in combinations(all_edges, msize):
-                    if len(support_vertices(ground, S)) == t:  # once, at its own support size
-                        coeffs[_mask(S)] = fourier_coeff_fr(spec, S)
-    return PBFunction._exact(ground, spec.p, coeffs)
+    for t in range(2, min(spec.r, spec.n) + 1):
+        coeffs.update(_terms_spanning(spec, t))
+    return PBFunction._exact(spec.ground, spec.p, coeffs)
 
 
 def kappa_function(spec: CliqueSpec) -> PBFunction:

@@ -10,6 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .cliques import clique_edge_masks
 from .distributions import SERIAL_BLAS_ENTRIES, chf_sum
 from .errors import DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
@@ -170,12 +171,7 @@ def build_color_partition(n: int, k: int, sizes: Sequence[int]) -> BlockPartitio
         raise DomainError(f"sizes must sum to n={n}, got {sum(sizes)}")
     if sizes[0] * (k + 1) < n:
         raise DomainError(f"|U_0|={sizes[0]} must be at least n/(k+1)")
-    color = {}
-    v = 1
-    for c, s in enumerate(sizes):
-        for _ in range(s):
-            color[v] = c
-            v += 1
+    color = [None] + [c for c, s in enumerate(sizes) for _ in range(s)]  # color[v] of vertex v
     ground = EdgeGround(n)
     block_of = tuple(max(color[i], color[j]) for i, j in ground.edges())
     return BlockPartition(ground, k, block_of)
@@ -205,13 +201,8 @@ def build_clique_partition(n: int, r: int) -> BlockPartition:
 
 def rainbow_cliques(part: BlockPartition, r: int) -> list[tuple[int, ...]]:
     """All r-vertex subsets whose clique edge set is rainbow."""
-    ground = part.ground
-    out = []
-    for verts in combinations(range(1, ground.n + 1), r):
-        edges = [ground.index(a, b) for a, b in combinations(verts, 2)]
-        if is_rainbow(edges, part):
-            out.append(verts)
-    return out
+    cliques = zip(combinations(range(1, part.ground.n + 1), r), clique_edge_masks(part.ground, r))
+    return [verts for verts, mask in cliques if all(mask & block for block in part._masks[1:])]
 
 
 # -- the decoupling inequality -------------------------------------------------
@@ -267,10 +258,13 @@ def decoupling_check(
     the X assignments of B_0, Monte Carlo over the rows of ``mc.edge_draws``
     (column 2j + copy is that copy of the j-th Y edge), in row blocks so that
     memory does not grow with the samples.  One truth table, one law and one
-    set of Y draws serve every t; an empty ts builds none of them.
+    set of Y draws serve every t; an empty ts builds none of them.  The right
+    side's stderr needs two Y rows, so one is a DomainError.
     """
     if len(ts) == 0:
         return []
+    if mc.samples < 2:
+        raise DomainError(f"need at least two Y rows for the rhs stderr, got samples={mc.samples}")
     if not isinstance(f.ground, EdgeGround) or f.ground != part.ground:
         raise GroundMismatchError("function and partition live on different grounds")
     table = f.table()  # CapacityError above TABLE_EDGE_CAP edges
@@ -304,7 +298,7 @@ def decoupling_check(
         allvals = np.concatenate(vals)
         lhs = abs(chf_sum(t, *law)) ** (2**part.k)
         rhs = float(np.mean(allvals))
-        stderr = float(np.std(allvals, ddof=1) / math.sqrt(allvals.size)) if allvals.size > 1 else 0.0
+        stderr = float(np.std(allvals, ddof=1) / math.sqrt(allvals.size))
         checks.append(DecouplingCheck(lhs=lhs, rhs=rhs, rhs_stderr=stderr))
     return checks
 

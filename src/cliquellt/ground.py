@@ -59,12 +59,7 @@ class EdgeGround:
 
 def support_vertices(ground: EdgeGround, members: Iterable[int]) -> frozenset[int]:
     """Vertex support of an edge set: union of endpoints of its edges."""
-    verts: set[int] = set()
-    for idx in members:
-        i, j = ground.edge(idx)
-        verts.add(i)
-        verts.add(j)
-    return frozenset(verts)
+    return frozenset(v for idx in members for v in ground.edge(idx))
 
 
 @dataclass(frozen=True)
@@ -91,15 +86,11 @@ class GraphAssignment:
 
     def adjacency_masks(self) -> list[int]:
         """Neighbor bitmask per vertex (0-based positions for vertices 1..n)."""
-        n = self.ground.n
-        adj = [0] * (n + 1)
-        idx = 0
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                if (self.bits >> idx) & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                idx += 1
+        adj = [0] * (self.ground.n + 1)
+        for idx, (i, j) in enumerate(self.ground.edges()):
+            if (self.bits >> idx) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
         return adj
 
     @classmethod

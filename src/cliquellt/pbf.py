@@ -407,5 +407,5 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
         _butterfly(vals, m, weighted)
         vals *= powers[popcount_array(m)]
         masks = np.arange(vals.size)
-    keep = (vals > PRUNE_TOL) | (vals < -PRUNE_TOL)
-    return PBFunction._from_masks(ground, p, dict(zip(masks[keep].tolist(), vals[keep].tolist())))
+    keep = (vals > PRUNE_TOL) | (vals < -PRUNE_TOL)  # the only pruning: the dict goes in as is
+    return PBFunction._exact(ground, p, dict(zip(masks[keep].tolist(), vals[keep].tolist())))

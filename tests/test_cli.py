@@ -237,6 +237,15 @@ def test_decoupling_check_above_the_table_cap_fails_before_building_f(capsys, mo
     assert captured.err == "cliquellt: error: truth table capped at 21 edges, got 66\n"
 
 
+def test_decoupling_check_with_one_y_row_is_one_line_and_exit_2(capsys, monkeypatch):
+    # regression: one row exited 0 on a zero stderr band
+    monkeypatch.setattr(sys, "argv", ["cliquellt", "decoupling-check", "--n", "6", "--samples", "1"])
+    assert cliquellt.cli._program() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cliquellt: error: need at least two Y rows") and captured.err.count("\n") == 1
+
+
 def test_python_dash_m_runs_the_program(capsys):
     argv = ["moments", "--n", "6", "--r", "3"]
     _, expected = run(argv, capsys)

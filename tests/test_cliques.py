@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -27,7 +28,6 @@ from cliquellt import (
     mean,
     moments,
     variance,
-    weight_profile,
 )
 from cliquellt import cliques
 from cliquellt.cliques import (
@@ -37,7 +37,8 @@ from cliquellt.cliques import (
     counts_over_all_graphs,
     variance_leading_coefficient,
 )
-from cliquellt.pbf import popcount_array
+from cliquellt.ground import support_vertices
+from cliquellt.pbf import _edges, _mask, popcount_array
 PETERSEN_EDGES = [
     (1, 2), (2, 3), (3, 4), (4, 5), (5, 1),
     (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),
@@ -327,7 +328,7 @@ def test_variance_numerator_matches_the_covering_subset_oracle(n, r, p):
     if num:  # W^1 = C(n,2) f_r_hat({uv})^2 / sigma^2, with b^{2e} f_r_hat({uv})^2 below
         a, b = p.as_integer_ratio()
         edge = math.comb(n - 2, r - 2) ** 2 * a ** (2 * math.comb(r, 2) - 1) * (b - a)
-        assert weight_profile(spec)[0] == float(Fraction(math.comb(n, 2) * edge, num))
+        assert moments(spec).weight_deg1 == float(Fraction(math.comb(n, 2) * edge, num))
 
 
 def test_closed_forms_at_the_edge_of_the_float_range():
@@ -339,7 +340,7 @@ def test_closed_forms_at_the_edge_of_the_float_range():
         mean(CliqueSpec(n=10**4, r=200, p=0.5))
     assert variance(CliqueSpec(n=2, r=3, p=0.5)) == 0.0
     with pytest.raises(DomainError):  # sigma = 0; used to raise ZeroDivisionError
-        weight_profile(CliqueSpec(n=2, r=3, p=0.5))
+        moments(CliqueSpec(n=2, r=3, p=0.5))
 
 
 @settings(max_examples=60)
@@ -357,7 +358,6 @@ def test_closed_forms_return_a_float_or_a_domain_error(n, r, p):
         lambda: mean(spec),
         lambda: variance(spec),
         lambda: variance_leading_coefficient(r, p),
-        lambda: weight_profile(spec),
         lambda: dataclasses.astuple(moments(spec)),
     ]
     for call in calls:
@@ -420,6 +420,61 @@ def test_fr_function_matches_counts():
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _covering_subsets_by_filter(n, r):
+    """Every edge subset of every t-vertex set of K_n, t <= r, kept at its own
+    support size: the generate-and-filter enumeration of f_r's support."""
+    ground = EdgeGround(n)
+    kept = []
+    for t in range(2, r + 1):
+        for verts in itertools.combinations(range(1, n + 1), t):
+            all_edges = [ground.index(a, b) for a, b in itertools.combinations(verts, 2)]
+            for msize in range(1, len(all_edges) + 1):
+                for S in itertools.combinations(all_edges, msize):
+                    if len(support_vertices(ground, S)) == t:
+                        kept.append(S)
+    return kept
+
+
+def _fr_reference(spec):
+    """f_r's coefficients over that enumeration, each valued by fourier_coeff_fr."""
+    coeffs = {0: mean(spec)}
+    for S in _covering_subsets_by_filter(spec.n, spec.r):
+        coeffs[_mask(S)] = fourier_coeff_fr(spec, S)
+    return coeffs
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for r in (3, 4, 5) for n in range(1, 9)] + [(n, 6) for n in range(1, 7)])
+def test_fr_and_kappa_match_the_generate_and_filter_enumeration(n, r):
+    for p in (0.5, 0.3, 0.37, 1e-6, 1 - 1e-6):
+        spec = CliqueSpec(n=n, r=r, p=p)
+        ref = _fr_reference(spec)
+        f = fr_function(spec)._coeffs
+        assert list(f) == list(ref)  # the same keys in the same order
+        assert [c.hex() for c in f.values()] == [c.hex() for c in ref.values()]
+        if n < r:
+            with pytest.raises(DomainError):  # sigma = 0
+                kappa_function(spec)
+            continue
+        kap = kappa_function(spec)._coeffs
+        sigma = spec.sigma
+        ref_kap = {S: c / sigma for S, c in ref.items() if S}
+        assert list(kap) == list(ref_kap)
+        assert [c.hex() for c in kap.values()] == [c.hex() for c in ref_kap.values()]
+
+
+@pytest.mark.parametrize("t, total", [(2, 1), (3, 4), (4, 41), (5, 768), (6, 27449)])
+def test_fr_function_places_every_covering_edge_set_of_k_t(t, total):
+    # on K_t itself each pattern is placed once: the keys that span all t vertices
+    spec = CliqueSpec(n=t, r=max(t, 3), p=0.5)
+    keys = [S for S in fr_function(spec)._coeffs if len(support_vertices(spec.ground, _edges(S))) == t]
+    sizes = Counter(S.bit_count() for S in keys)
+    assert len(keys) == total
+    assert [sizes[m] for m in range(1, math.comb(t, 2) + 1)] == [
+        covering_edge_subsets(t, m) for m in range(1, math.comb(t, 2) + 1)
+    ]
+
+
 def test_kappa_normalization():
     spec = CliqueSpec(n=5, r=3, p=0.4)
     kap = kappa_function(spec)
@@ -433,13 +488,13 @@ def test_kappa_normalization():
 
 def test_weight_profile():
     spec = CliqueSpec(n=6, r=3, p=0.5)
-    w1, wtail = weight_profile(spec)
+    mom = moments(spec)
+    w1, wtail = mom.weight_deg1, mom.weight_tail
     assert w1 + wtail == pytest.approx(1.0, abs=1e-12)
     kap = kappa_function(spec)
     assert w1 == pytest.approx(sum(c * c for c in kap.degree_slice(1).coeffs.values()), abs=1e-12)
     # degree-1 weight dominates as n grows
-    w1_big, wtail_big = weight_profile(CliqueSpec(n=100, r=3, p=0.5))
-    assert wtail_big < 0.1
+    assert moments(CliqueSpec(n=100, r=3, p=0.5)).weight_tail < 0.1
 
 
 def test_exact_distribution_n3():
@@ -588,7 +643,9 @@ def test_moments_builds_the_variance_numerator_once(monkeypatch):
         calls.clear()
         mom = moments(spec)
         assert calls == [spec]
-        assert (mom.sigma2, mom.weight_deg1, mom.weight_tail) == (variance(spec), *weight_profile(spec))
+        num, edge, _ = _variance_terms(spec)
+        w1 = float(Fraction(math.comb(spec.n, 2) * edge, num))
+        assert (mom.sigma2, mom.weight_deg1, mom.weight_tail) == (variance(spec), w1, 1.0 - w1)
 
 
 def test_mc_mean_agreement():

@@ -405,6 +405,17 @@ def test_decoupling_check_on_an_empty_grid_builds_nothing(monkeypatch):
     assert decoupling_check(f, bisection_partition(4), [], MCConfig(seed=0, samples=10)) == []
 
 
+def test_decoupling_check_refuses_one_y_row_before_the_truth_table(monkeypatch):
+    # regression: one row gave rhs_stderr 0, a zero band that decided `holds`
+    def fail(*args, **kwargs):
+        raise AssertionError("built for one Y row")
+
+    monkeypatch.setattr(PBFunction, "table", fail)
+    f = fr_function(CliqueSpec(n=4, r=3, p=0.5))
+    with pytest.raises(DomainError, match="two Y rows"):
+        decoupling_check(f, bisection_partition(4), [1.0], MCConfig(seed=0, samples=1))
+
+
 @pytest.mark.parametrize("sizes", [[3, 2], [2, 2, 1]])
 def test_decoupling_check_rhs_against_alpha_pointwise(sizes):
     # the rhs at p != 0.5 from alpha's definition, evaluated on f's coefficients,

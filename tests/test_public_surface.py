@@ -65,7 +65,6 @@ PUBLIC_NAMES = [
     "sample_kappa",
     "support_vertices",
     "variance",
-    "weight_profile",
 ]
 
 
