@@ -241,8 +241,8 @@ def _popcount(words: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _extend(sample: np.ndarray, cand: list[np.ndarray], up: np.ndarray, need: int):
-    """Every one-vertex extension of a frontier, keeping those with >= need candidates.
+def _extensions(sample: np.ndarray, cand: list[np.ndarray], up: np.ndarray):
+    """Every one-vertex extension of a frontier, as (samples, candidate words) per pass.
 
     Entry (s, C) becomes (s, C & up_v) for each v in C; ``cand`` holds C as one
     array per word.  Per word, the entries are sorted by how many candidates
@@ -252,24 +252,29 @@ def _extend(sample: np.ndarray, cand: list[np.ndarray], up: np.ndarray, need: in
     """
     batch = up.shape[2]
     rows = up.reshape(len(up), -1)
-    samples, cands = [sample[:0]], [[c[:0]] for c in cand]
     for word, held_bits in enumerate(cand):
         held = np.bitwise_count(held_bits)
         order = np.argsort(held, kind="stable")[::-1]
         sample_w, cand_w = sample[order], [c[order] for c in cand]
-        bits = cand_w[word].copy()
         holding_more = len(held) - np.cumsum(np.bincount(held))
         for active in holding_more[:-1]:
-            peel = bits[:active]
+            # this word's candidates from v up: C & up_v is the same, as up_v holds only vertices above v
+            peel = cand_w[word][:active]
             low = peel & -peel
             s = sample_w[:active]
             row = (64 * word + np.bitwise_count(low - 1).astype(np.intp)) * batch + s
-            ext = [c[:active] & np.take(r, row) for c, r in zip(cand_w, rows)]
-            keep = np.flatnonzero(_popcount(ext) >= need)
-            samples.append(s[keep])
-            for out, e in zip(cands, ext):
-                out.append(e[keep])
-            peel ^= low  # a view of bits: v leaves the entry's remaining candidates
+            yield s, [c[:active] & np.take(r, row) for c, r in zip(cand_w, rows)]
+            peel ^= low  # v leaves the entry's remaining candidates
+
+
+def _extend(sample: np.ndarray, cand: list[np.ndarray], up: np.ndarray, need: int):
+    """The one-vertex extensions of a frontier that keep >= need candidates."""
+    samples, cands = [sample[:0]], [[c[:0]] for c in cand]
+    for s, ext in _extensions(sample, cand, up):
+        keep = np.flatnonzero(_popcount(ext) >= need)
+        samples.append(s[keep])
+        for out, e in zip(cands, ext):
+            out.append(e[keep])
     return np.concatenate(samples), [np.concatenate(c) for c in cands]
 
 
@@ -284,7 +289,8 @@ def count_cliques_batch(edge_bits: np.ndarray, n: int, r: int) -> np.ndarray:
     of the present edges.  r >= 4 starts a frontier of (sample, candidate mask) pairs
     at the present edges with at least r-2 candidates, grows it one vertex per
     level, vectorised over the frontier, and drops entries with too few
-    candidates left; the last vertex is counted by popcount.
+    candidates left; the last two vertices are counted by the popcount of each
+    extension's candidates, pass by pass, without building the last frontier.
     """
     if r < 3:
         raise DomainError(f"clique size must be >= 3, got r={r}")
@@ -311,10 +317,16 @@ def count_cliques_batch(edge_bits: np.ndarray, n: int, r: int) -> np.ndarray:
     edge, sample = np.nonzero((common >= r - 2) & edges.T)
     i, j = tri_i[edge], tri_j[edge]
     cand = [u[i, sample] & u[j, sample] for u in up]
-    for need in range(r - 3, 0, -1):
+    del block, common, edge, i, j  # the first level's buffers: the frontier is the largest transient
+    for need in range(r - 3, 1, -1):
         sample, cand = _extend(sample, cand, up, need)
-    # float weights are exact: a per-graph total near 2^53 could not fit in memory
-    return np.bincount(sample, weights=_popcount(cand), minlength=batch).astype(np.int64)
+    # the last two vertices: each extension's candidates close that many
+    # cliques, summed pass by pass, so the last frontier is never built.  Float
+    # weights are exact: a per-graph total near 2^53 could not fit in memory
+    total = np.zeros(batch)
+    for s, ext in _extensions(sample, cand, up):
+        total += np.bincount(s, weights=_popcount(ext), minlength=batch)
+    return total.astype(np.int64)
 
 
 # -- exhaustive enumeration ------------------------------------------------

@@ -169,11 +169,20 @@ def phase_blocks(ts: np.ndarray, x: np.ndarray):
 
 
 def chf_sum(t, x, w):
-    """sum_j w_j e^{i t x_j} at a scalar t or at each entry of an array t: the package's one chf sum."""
+    """sum_j w_j e^{i t x_j} at a scalar t or at each entry of an array t: the package's one chf sum.
+
+    DomainError when max|t| max|x| is not finite: a phase t x_j past the
+    float range has no cos or sin.
+    """
     ts = np.asarray(t, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).ravel()
     w = np.asarray(w, dtype=np.float64).ravel()
+    if ts.size and x.size:
+        tmax, xmax = (max(float(a.max()), -float(a.min())) for a in (ts, x))  # nan stays nan
+        if not math.isfinite(tmax * xmax):
+            raise DomainError(f"chf phase t x is not finite: max|t| = {tmax:g}, max|x| = {xmax:g}")
     out = np.zeros(ts.size, dtype=np.complex128)
-    for tsl, xs, phase in phase_blocks(ts.ravel(), np.asarray(x, dtype=np.float64).ravel()):
+    for tsl, xs, phase in phase_blocks(ts.ravel(), x):
         out[tsl] += np.cos(phase) @ w[xs] + 1j * (np.sin(phase) @ w[xs])
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 

@@ -340,6 +340,30 @@ def _passes(v: np.ndarray, bits: Iterable[int], step: Callable, tmp: np.ndarray)
         step(w[:, 0], w[:, 1], tmp[: v.size >> 1].reshape(-1, 1 << e))
 
 
+def _moebius(v0, v1, tmp):
+    v1 -= v0
+
+
+def _certified_moebius(table: np.ndarray, m: int, top: int):
+    """(masks, a_T) of an integer table's nonzero Moebius coefficients, ascending, or None.
+
+    One uint8 Moebius pass gives every a_T mod 256, each read as an int8 s_T.
+    They are returned only when sum_T |s_T| + top < 256, with top = max|f|:
+    then s is a (see fourier_transform).  The table is padded to at least one
+    8-byte word, so the support is read off the nonzero words.
+    """
+    v = np.zeros(max(1 << m, 8), dtype=np.uint8)
+    np.copyto(v[: 1 << m], table, casting="unsafe")  # f mod 256
+    _butterfly(v[: 1 << m], m, _moebius)  # wraps per byte
+    words = np.flatnonzero(v.view("<u8"))
+    if words.size + top >= 256:  # each nonzero word holds a nonzero s_T
+        return None
+    cells = (words[:, None] * 8 + np.arange(8)).ravel()
+    s = v[cells].view(np.int8)
+    masks, s = cells[s != 0], s[s != 0].astype(np.int64)
+    return (masks, s) if int(np.abs(s).sum()) + top < 256 else None
+
+
 def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
     """Exhaustive p-biased transform of a full truth table.
 
@@ -348,9 +372,20 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
 
     Write f = sum_T a_T prod_{e in T} x_e.  Each x_e = p + root chi_e, with
     root = sqrt(p(1-p)), so fhat(S) = root^|S| sum_{T >= S} a_T p^|T - S|.
-    The transform is one Moebius pass (per edge v1 -= v0) on a copy of the
-    table, which gives the a_T, then that weighted superset sum, on one of
-    two branches:
+    A Moebius pass (per edge v1 -= v0) gives the a_T, on one of two tiers:
+
+    - an integer or bool table with max|f| < 256 runs it on a uint8 copy,
+      where it wraps per byte and gives each a_T mod 256, read as an int8
+      s_T.  If sum_T |s_T| + max|f| < 256 the s_T are the a_T: zeta(s), the
+      subset sum, is f mod 256, and |zeta(s)(x) - f(x)| <= sum_T |s_T| +
+      max|f| < 256, so zeta(s) = f, and the Moebius inverse is unique.  The
+      test fails only when sum_T |a_T| + max|f| >= 256, as below that every
+      |a_T| < 128 and s = a.  Every clique-count table under the cap passes
+      (sum_T |a_T| + max|f| is 2 C(n, r) <= 70);
+    - any other table, or one whose residues do not certify, runs it on a
+      float64 copy, exact for an integer table while max|f| 2^m < 2^53.
+
+    Then the weighted superset sum, on one of two branches:
 
     - while sum_T 2^|T| over the support {T : a_T != 0} is at most 2^m / 64,
       the sum runs over (mask, value) arrays of the support and its subsets
@@ -365,9 +400,6 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
     steps then cost at most about half the dense pass even when the subsets
     of the support barely overlap, and a tenth of it at m = 21; below m = 15
     either branch takes well under a millisecond.
-    An integer or bool table with max|f| 2^m < 2^31 takes an int32 copy, on
-    which the Moebius pass is exact (every partial sum is at most 2^m max|f|
-    in size); any other table takes a float64 one.
     """
     m = ground.size
     check_table_cap(m, "exhaustive transform")
@@ -376,21 +408,21 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
         raise DomainError(f"table must have length 2^{m}")
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0,1), got {p}")
-    exact = table.dtype.kind in "biu" and max(-int(table.min()), int(table.max())) << m < 1 << 31
-    v = np.array(table, dtype=np.int32 if exact else np.float64)
-
-    def moebius(v0, v1, tmp):
-        v1 -= v0
-
-    _butterfly(v, m, moebius)
+    top = max(-int(table.min()), int(table.max())) if table.dtype.kind in "biu" else 256  # float: no uint8 tier
+    certified = _certified_moebius(table, m, top) if top < 256 else None
+    if certified is None:
+        dense = np.array(table, dtype=np.float64)
+        _butterfly(dense, m, _moebius)
+        support = dense != 0
+        # sum_T 2^|T| >= |support|: a wide support skips the mask list
+        masks = np.flatnonzero(support) if np.count_nonzero(support) << 6 <= dense.size else None
+        a = None if masks is None else dense[masks]
+    else:
+        dense, (masks, a) = None, certified
+    sparse = masks is not None and int(np.sum(1 << np.bitwise_count(masks).astype(np.int64))) << 6 <= 1 << m
     powers = math.sqrt(p * (1.0 - p)) ** np.arange(m + 1)  # root^|S|
-    support = v != 0
-    sparse = np.count_nonzero(support) << 6 <= v.size  # sum_T 2^|T| >= |support|: skips a dense mask list
     if sparse:
-        masks = np.flatnonzero(support)
-        sparse = int(np.sum(1 << np.bitwise_count(masks).astype(np.int64))) << 6 <= v.size
-    if sparse:
-        vals = v[masks].astype(np.float64)
+        vals = a.astype(np.float64)
         for e in range(m):
             has = (masks & (1 << e)) != 0
             if has.any():
@@ -398,13 +430,15 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
                 vals = np.bincount(inv, weights=np.concatenate((vals, p * vals[has])))
         vals *= powers[np.bitwise_count(masks)]
     else:
-        vals = v.astype(np.float64, copy=False)
+        if dense is None:
+            dense = np.zeros(1 << m)
+            dense[masks] = a
 
         def weighted(v0, v1, tmp):
             np.multiply(v1, p, out=tmp)
             v0 += tmp
 
-        _butterfly(vals, m, weighted)
+        vals = _butterfly(dense, m, weighted)
         vals *= powers[popcount_array(m)]
         masks = np.arange(vals.size)
     keep = (vals > PRUNE_TOL) | (vals < -PRUNE_TOL)  # the only pruning: the dict goes in as is

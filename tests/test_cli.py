@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -244,6 +245,22 @@ def test_decoupling_check_with_one_y_row_is_one_line_and_exit_2(capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cliquellt: error: need at least two Y rows") and captured.err.count("\n") == 1
+
+
+def test_chf_scan_with_a_phase_past_the_float_range_is_one_line_and_exit_2(capsys, monkeypatch):
+    # regression: t x overflowed in the chf's phases, and the rows read nan,nan,nan with exit 0
+    def chf_scan(t):
+        argv = ["chf-scan", "--n", "8", "--samples", "50", "--t-min", t, "--t-max", t, "--t-steps", "1"]
+        monkeypatch.setattr(sys, "argv", ["cliquellt", *argv])
+        return cliquellt.cli._program(), capsys.readouterr()
+
+    rc, captured = chf_scan("1e308")
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("cliquellt: error: chf phase t x is not finite") and captured.err.count("\n") == 1
+    rc, captured = chf_scan("1e307")  # |kappa| 1e307 is still finite
+    assert rc == 0 and captured.err == ""
+    _, _, rows = parse_csv(captured.out)
+    assert len(rows) == 1 and all(math.isfinite(float(v)) for v in rows[0])
 
 
 def test_python_dash_m_runs_the_program(capsys):

@@ -168,6 +168,24 @@ def test_batch_kernel_at_real_chunk_heights(n, r, height, step):
     assert counts.any()
 
 
+def test_r4_kernel_sums_its_last_level_without_building_it():
+    # the last level's extensions are popcounted pass by pass, and the first
+    # level's buffers are freed before the frontier grows: on a full chunk at
+    # n = 30 the kernel traced 5.5 MiB when it built the last frontier and
+    # held those buffers, and 3.2 MiB without
+    _, edges = next(MCConfig(seed=3, samples=301).edge_draws([EdgeGround(30).size], 0.5))
+    edges = edges.copy()
+    want = count_cliques_batch(edges, 30, 4)  # the kernel's row plan for n = 30
+    tracemalloc.start()
+    try:
+        counts = count_cliques_batch(edges, 30, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(counts, want) and counts.sum() > 0
+    assert peak <= 4 * 2**20, peak
+
+
 @pytest.mark.parametrize("r", [3, 4])
 def test_batch_kernel_empty_batch(r):
     counts = count_cliques_batch(np.zeros((0, EdgeGround(30).size), dtype=bool), 30, r)

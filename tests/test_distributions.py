@@ -414,6 +414,20 @@ def test_chf_sum_is_the_same_for_any_block(monkeypatch, block):
     assert abs(chf_sum(ts[3], x, w) - ref[3]) < 1e-14
 
 
+def test_chf_sum_refuses_a_phase_past_the_float_range():
+    # regression: t x overflowed to inf, and cos and sin gave nan with a warning
+    x, w = np.array([-2.5, 0.0, 3.0]), np.ones(3)
+    for t in (1e308, -1e308, np.array([0.0, 1e308]), math.inf, math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(DomainError, match="not finite"):
+            chf_sum(t, x, w)
+    with pytest.raises(DomainError):
+        chf_sum(1.0, np.array([math.inf, -1.0]), np.ones(2))
+    with np.errstate(all="raise"):  # 1e307 * 3 is finite: no overflow, no nan
+        assert np.isfinite(chf_sum(np.array([1e307, -1e307]), x, w)).all()
+        assert chf_sum(1e307, np.zeros(2), np.ones(2)) == 2.0
+    assert chf_sum(np.zeros(0), x, w).shape == (0,)
+
+
 @settings(max_examples=100)
 @given(lat=lattices, k=st.integers(-10**6, 10**6), frac=st.floats(0.01, 0.99))
 def test_index_round_trips_and_rejects_off_lattice(lat, k, frac):

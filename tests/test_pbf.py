@@ -200,29 +200,138 @@ def test_transform_of_an_integer_table_does_not_depend_on_its_dtype():
                 assert _transform_bits(table.astype(dtype), m, p) == want, (m, p, dtype)
 
 
-def test_transform_runs_the_moebius_pass_in_int32_only_below_its_overflow(monkeypatch):
+@contextmanager
+def _moebius_tiers(monkeypatch):
+    """The dtype of each table fourier_transform runs its Moebius pass on, in call order."""
     dtypes = []
 
     def recording(v, m, step):
-        dtypes.append(v.dtype)
+        if step is pbf._moebius:
+            dtypes.append(v.dtype)
         return _butterfly(v, m, step)
 
     monkeypatch.setattr(pbf, "_butterfly", recording)
-    m, top = 3, 1 << 28  # max|f| 2^m = 2^31: past the int32 range
-    # signs (-1)^|g| drive the top Moebius coefficient to -2^m max|f|
+    yield dtypes
+
+
+def _zeta(a, m):
+    """f(g) = sum_{T <= g} a_T, exactly, in int64."""
+    f = np.array(a, dtype=np.int64)
+    for e in range(m):
+        w = f.reshape(-1, 2, 1 << e)
+        w[:, 1] += w[:, 0]
+    return f
+
+
+def _tiers(a, f):
+    """The Moebius passes an integer table takes, from its exact Moebius coefficients.
+
+    A table with max|f| < 256 runs the uint8 pass, and the float64 one only
+    when the residues do not certify, which is when sum_T |a_T| + max|f| >= 256.
+    """
+    top = int(np.abs(np.asarray(f, dtype=np.int64)).max())
+    if top >= 256:
+        return [np.float64]
+    return [np.uint8] if int(np.abs(np.asarray(a, dtype=np.int64)).sum()) + top < 256 else [np.uint8, np.float64]
+
+
+def test_transform_runs_the_moebius_pass_in_uint8_only_when_its_residues_certify(monkeypatch):
+    m, top = 3, 1 << 28  # max|f| 2^m = 2^31: once past the int32 range, now far past the uint8 tier
+    # signs (-1)^|g| drive the top Moebius coefficient to -2^m max|f|: a_T = f(0) (-2)^|T|
     signs = 1 - 2 * (popcount_array(m).astype(np.int64) & 1)
-    for big, copy in ((top - 1, np.int32), (top, np.float64)):
-        for table in (big * signs, -big * signs):  # max|f| from the max, then from the min
+    # sum_T |a_T| + max|f| = 28 max|f|: 9 certifies (252), 10 does not (280)
+    certified, uncertified, wide = [np.uint8], [np.uint8, np.float64], [np.float64]
+    with _moebius_tiers(monkeypatch) as dtypes:
+        for big, tiers in ((9, certified), (10, uncertified), (top - 1, wide), (top, wide)):
+            for table in (big * signs, -big * signs):  # max|f| from the max, then from the min
+                dtypes.clear()
+                got = _transform_bits(table, m, 0.5)
+                assert dtypes == tiers == _tiers(big * (-2) ** popcount_array(m).astype(np.int64), table)
+                assert got == _transform_bits(table.astype(np.float64), m, 0.5)
+                # f = f(0) prod_e (1 - 2 x_e) = f(0) (-1)^m chi_[m] at p = 1/2
+                assert fourier_transform(table, SimpleNamespace(size=m), 0.5).coeffs == {frozenset(range(m)): -table[0]}
+        lowest = np.full(1 << m, np.iinfo(np.int64).min)  # -int64 min is past int64: never abs() it
+        want = _transform_bits(lowest.astype(np.float64), m, 0.5)
+        dtypes.clear()
+        assert _transform_bits(lowest, m, 0.5) == want
+        assert dtypes == wide
+        for table, tiers in (
+            # 128 x_e: its residue reads -128, and sum |s| + max|f| = 256 must not certify
+            ([0, 128], uncertified),
+            ([0, -128], uncertified),  # a_T = -128 is the residue itself, still at 256
+            ([64, -64], uncertified),  # a = (64, -128): 256 again
+            ([64, -63], certified),  # a = (64, -127): sum |a| + max|f| = 255 certifies
+            ([-64, 63], certified),
+            ([0, 127], certified),
+            ([255, 255], uncertified),  # max|f| = 255 alone fills the bound
+            ([0, 256], wide),  # max|f| past the uint8 tier
+        ):
+            table = np.array(table, dtype=np.int64)
+            assert tiers == _tiers([table[0], table[1] - table[0]], table)
+            for p in (0.5, 0.3):
+                want = _transform_bits(table.astype(np.float64), 1, p)
+                dtypes.clear()
+                assert _transform_bits(table, 1, p) == want, table
+                assert dtypes == tiers
+        # tables shorter than one 8-byte word, negative int64 and bool tables
+        rng = np.random.default_rng(29)
+        for m in range(4):
+            for table in (
+                rng.integers(-3, 4, size=1 << m),
+                -rng.integers(0, 200, size=1 << m),
+                rng.integers(0, 2, size=1 << m).astype(np.bool_),
+                np.zeros(1 << m, dtype=np.int64),
+            ):
+                a = np.asarray(table, dtype=np.int64).copy()  # the exact a_T
+                for e in range(m):
+                    a.reshape(-1, 2, 1 << e)[:, 1] -= a.reshape(-1, 2, 1 << e)[:, 0]
+                for p in (0.5, 0.37):
+                    want = _transform_bits(table.astype(np.float64), m, p)
+                    dtypes.clear()
+                    assert _transform_bits(table, m, p) == want
+                    assert dtypes == _tiers(a, table), (m, table)
+                # at p = 1/2 integer coefficients are exact, so the table comes back
+                f = fourier_transform(table, SimpleNamespace(size=m), 0.5)
+                assert f.table().tolist() == table.astype(np.float64).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(0, 10),
+    terms=st.lists(st.tuples(st.integers(0, 2**10 - 1), st.integers(-130, 130)), max_size=12),
+    dtype=st.sampled_from([np.int64, np.int16, np.float64]),
+)
+def test_transform_of_a_small_integer_table_keeps_the_float64_bits(m, terms, dtype):
+    # few small a_T, so the uint8 tier's certificate holds in some cases and fails in others
+    a = np.zeros(1 << m, dtype=np.int64)
+    for mask, c in terms:
+        a[mask & ((1 << m) - 1)] += c
+    table = _zeta(a, m)
+    tiers = _tiers(a, table) if dtype != np.float64 else [np.float64]
+    with pytest.MonkeyPatch.context() as monkeypatch, _moebius_tiers(monkeypatch) as dtypes:
+        for p in (0.5, 0.3):
             dtypes.clear()
-            got = _transform_bits(table, m, 0.5)
-            assert dtypes[0] == copy
-            assert got == _transform_bits(table.astype(np.float64), m, 0.5)
-            # f = f(0) prod_e (1 - 2 x_e) = f(0) (-1)^m chi_[m] at p = 1/2
-            assert fourier_transform(table, SimpleNamespace(size=m), 0.5).coeffs == {frozenset(range(m)): -table[0]}
-    lowest = np.full(1 << m, np.iinfo(np.int64).min)  # -int64 min is past int64: never abs() it
-    dtypes.clear()
-    assert _transform_bits(lowest, m, 0.5) == _transform_bits(lowest.astype(np.float64), m, 0.5)
-    assert dtypes[0] == np.float64
+            got = _transform_bits(table.astype(dtype), m, p)
+            assert dtypes == tiers
+            dtypes.clear()
+            assert got == _transform_bits(table.astype(np.float64), m, p)
+
+
+def test_transform_of_the_n7_counts_traces_at_most_4_mib():
+    # the Moebius pass runs on a one-byte copy of the 2^21 counts, and the
+    # support is read off its nonzero words: no int32 or bool table of 2^21
+    import tracemalloc
+
+    table = counts_over_all_graphs(7, 3)
+    fourier_transform(table, EdgeGround(7), 0.5)
+    tracemalloc.start()
+    try:
+        f = fourier_transform(table, EdgeGround(7), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f._coeffs) == 162
+    assert peak <= 4 * 2**20, peak
 
 
 def test_transform_leaves_the_callers_table_as_it_was():
