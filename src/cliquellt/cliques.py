@@ -369,7 +369,7 @@ def counts_over_all_graphs(n: int, r: int) -> np.ndarray:
             tmp <<= np.uint64(8 << e)
             block += tmp
 
-    def step(v0, v1, tmp):
+    def step(v0, v1):
         v1 += v0
 
     _butterfly(words, max(m - 3, 0), step)

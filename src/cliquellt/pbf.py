@@ -9,6 +9,7 @@ whatever their size.
 
 from __future__ import annotations
 
+import inspect
 import math
 from functools import cached_property
 from itertools import combinations
@@ -284,16 +285,21 @@ def popcount_array(m: int) -> np.ndarray:
     return pc
 
 
+def _run_floor() -> int:
+    """R: numpy copies a contiguous run shorter than 2^R = np.getbufsize() // 2 entries through its buffer."""
+    return (np.getbufsize() // 2).bit_length() - 1  # numpy's bufsize is at least 16
+
+
 def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
     """Apply a per-edge 2x2 step to a table of length 2^m, in place.
 
     Every entry gets edges 0..m-1 in order, as in a plain pass per edge, so
     the bits do not depend on how the table is cut.  A pass on edge e at
     position j of a flat array works on contiguous runs of 2^j entries, and
-    numpy copies any run shorter than 2^R = np.getbufsize() // 2 entries
-    through its ufunc buffer.  So every pass runs at a position of at least R
-    (or on the two halves of a table too small for that), on cache-sized
-    pieces of the table (BUTTERFLY_BLOCK_BYTES, at least 2^(R+1) entries):
+    numpy copies any run shorter than 2^R entries (``_run_floor``) through its
+    ufunc buffer.  So every pass runs at a position of at least R (or on the
+    two halves of a table too small for that), on cache-sized pieces of the
+    table (BUTTERFLY_BLOCK_BYTES, at least 2^(R+1) entries):
 
     - a block of 2^b contiguous entries takes edges 0..b-1, max(b - R, 1) at
       a time: each group is brought to the top positions of the block by a
@@ -302,11 +308,12 @@ def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
     - edges b..m-1 then run on copied column strips, 2^R columns wide, of the
       table viewed as (2^(m-b), 2^b).
 
-    ``step(v0, v1, tmp)`` gets matching views of entries with edge e's bit 0
-    and 1, and a scratch array of their shape; it overwrites v0 and v1 with
-    their new values, entry by entry.
+    ``step(v0, v1)`` gets matching views of entries with edge e's bit 0 and
+    1 and overwrites them with their new values, entry by entry.  A step with
+    a third parameter, ``step(v0, v1, tmp)``, also gets a scratch array of
+    their shape; the scratch is allocated only for such a step.
     """
-    floor = (np.getbufsize() // 2).bit_length() - 1  # R; numpy's bufsize is at least 16
+    floor = _run_floor()
     b = min(m, max((BUTTERFLY_BLOCK_BYTES // v.itemsize).bit_length() - 1, floor + 1))
     per = max(b - floor, 1)  # edges per rotation
     groups = [min(per, b - a) for a in range(0, b, per)]
@@ -314,7 +321,8 @@ def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
     bufs = [np.empty(max(1 << b, strip), dtype=v.dtype)]
     if len(groups) > 2:  # a second block to ping-pong with
         bufs.append(np.empty(1 << b, dtype=v.dtype))
-    tmp = np.empty(bufs[0].size >> 1, dtype=v.dtype)
+    takes_scratch = len(inspect.signature(step).parameters) > 2
+    tmp = np.empty(bufs[0].size >> 1, dtype=v.dtype) if takes_scratch else None  # half the largest piece
     for block in v.reshape(-1, 1 << b):
         src = block
         for i, k in enumerate(groups):
@@ -333,34 +341,61 @@ def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
     return v
 
 
-def _passes(v: np.ndarray, bits: Iterable[int], step: Callable, tmp: np.ndarray) -> None:
+def _passes(v: np.ndarray, bits: Iterable[int], step: Callable, tmp: np.ndarray | None) -> None:
     """One step per bit position of the flat array v, in the order given."""
     for e in bits:
         w = v.reshape(-1, 2, 1 << e)
-        step(w[:, 0], w[:, 1], tmp[: v.size >> 1].reshape(-1, 1 << e))
+        scratch = () if tmp is None else (tmp[: v.size >> 1].reshape(-1, 1 << e),)
+        step(w[:, 0], w[:, 1], *scratch)
 
 
-def _moebius(v0, v1, tmp):
+def _moebius(v0, v1):
     v1 -= v0
 
 
 def _certified_moebius(table: np.ndarray, m: int, top: int):
     """(masks, a_T) of an integer table's nonzero Moebius coefficients, ascending, or None.
 
-    One uint8 Moebius pass gives every a_T mod 256, each read as an int8 s_T.
+    A uint8 Moebius pass gives every a_T mod 256, each read as an int8 s_T.
     They are returned only when sum_T |s_T| + top < 256, with top = max|f|:
-    then s is a (see fourier_transform).  The table is padded to at least one
-    8-byte word, so the support is read off the nonzero words.
+    then s is a (see fourier_transform).  Moebius mod 256 is exact, so the
+    order of the edges cannot change a residue, and the pass runs in two
+    stages on the table viewed as rows of 2^lo bytes, lo = min(m, R - 1)
+    (R from ``_run_floor``):
+
+    - the high edges lo..m-1 run straight on the byte copy, each pass on
+      contiguous runs of at least 2^lo bytes, with no rotation or scratch;
+    - the low edges then run on the nonzero rows only.  Their Moebius is
+      invertible mod 256, so a zero row stays zero and a nonzero row keeps a
+      nonzero s_T: with k nonzero rows, sum_T |s_T| >= k, and k + top >= 256
+      returns None at once.  Otherwise the k rows are copied transposed into
+      a (2^lo, k) array, where each low edge is one pass over contiguous
+      runs of k 2^e entries.  Entry (c, j) is the residue of mask
+      row_j << lo | c.
     """
-    v = np.zeros(max(1 << m, 8), dtype=np.uint8)
-    np.copyto(v[: 1 << m], table, casting="unsafe")  # f mod 256
-    _butterfly(v[: 1 << m], m, _moebius)  # wraps per byte
-    words = np.flatnonzero(v.view("<u8"))
-    if words.size + top >= 256:  # each nonzero word holds a nonzero s_T
+    lo = min(m, _run_floor() - 1)
+    v = np.empty(1 << m, dtype=np.uint8)
+    np.copyto(v, table, casting="unsafe")  # f mod 256
+    for e in range(lo, m):  # wraps per byte
+        w = v.reshape(-1, 2, 1 << e)
+        _moebius(w[:, 0], w[:, 1])
+    rows = v.reshape(-1, 1 << lo)
+    nonzero = np.flatnonzero(rows.any(axis=1))
+    k = nonzero.size
+    if k + top >= 256:  # each nonzero row keeps a nonzero s_T
         return None
-    cells = (words[:, None] * 8 + np.arange(8)).ravel()
-    s = v[cells].view(np.int8)
-    masks, s = cells[s != 0], s[s != 0].astype(np.int64)
+    low = np.empty((1 << lo, k), dtype=np.uint8)
+    np.copyto(low, rows[nonzero].T)
+    for e in range(lo):
+        w = low.reshape(1 << (lo - e - 1), 2, k << e)
+        _moebius(w[:, 0], w[:, 1])
+    cells = np.flatnonzero(low)
+    if cells.size + top >= 256:  # each nonzero cell is an s_T with |s_T| >= 1
+        return None
+    column, j = np.divmod(cells, k)
+    masks = nonzero[j] << lo | column
+    order = np.argsort(masks)
+    masks, s = masks[order], low.reshape(-1)[cells[order]].view(np.int8).astype(np.int64)
     return (masks, s) if int(np.abs(s).sum()) + top < 256 else None
 
 
@@ -381,7 +416,11 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
       max|f| < 256, so zeta(s) = f, and the Moebius inverse is unique.  The
       test fails only when sum_T |a_T| + max|f| >= 256, as below that every
       |a_T| < 128 and s = a.  Every clique-count table under the cap passes
-      (sum_T |a_T| + max|f| is 2 C(n, r) <= 70);
+      (sum_T |a_T| + max|f| is 2 C(n, r) <= 70).  The pass runs the high
+      edges on the whole copy, then the low edges on its nonzero rows only,
+      rows of 2^(R-1) bytes (2^11 at numpy's default buffer); k nonzero rows
+      hold at least k nonzero s_T, so the tier gives up as soon as
+      k + max|f| >= 256 (``_certified_moebius``);
     - any other table, or one whose residues do not certify, runs it on a
       float64 copy, exact for an integer table while max|f| 2^m < 2^53.
 

@@ -202,14 +202,24 @@ def test_transform_of_an_integer_table_does_not_depend_on_its_dtype():
 
 @contextmanager
 def _moebius_tiers(monkeypatch):
-    """The dtype of each table fourier_transform runs its Moebius pass on, in call order."""
+    """The dtype of each table fourier_transform runs its Moebius pass on, in call order.
+
+    The uint8 tier is recorded where it starts, in _certified_moebius, and the
+    float64 tier where it runs the _moebius step through _butterfly.
+    """
     dtypes = []
+    certified_moebius = pbf._certified_moebius
+
+    def recording_uint8(table, m, top):
+        dtypes.append(np.dtype(np.uint8))
+        return certified_moebius(table, m, top)
 
     def recording(v, m, step):
         if step is pbf._moebius:
             dtypes.append(v.dtype)
         return _butterfly(v, m, step)
 
+    monkeypatch.setattr(pbf, "_certified_moebius", recording_uint8)
     monkeypatch.setattr(pbf, "_butterfly", recording)
     yield dtypes
 
@@ -317,9 +327,10 @@ def test_transform_of_a_small_integer_table_keeps_the_float64_bits(m, terms, dty
             assert got == _transform_bits(table.astype(np.float64), m, p)
 
 
-def test_transform_of_the_n7_counts_traces_at_most_4_mib():
-    # the Moebius pass runs on a one-byte copy of the 2^21 counts, and the
-    # support is read off its nonzero words: no int32 or bool table of 2^21
+def test_transform_of_the_n7_counts_traces_at_most_2_5_mib():
+    # the Moebius pass runs on a one-byte copy of the 2^21 counts (2 MiB): the
+    # high edges in place, the low edges on a transposed copy of the nonzero
+    # rows only (21 rows of 2 KiB at n = 7, r = 3), with no rotation buffers
     import tracemalloc
 
     table = counts_over_all_graphs(7, 3)
@@ -331,14 +342,14 @@ def test_transform_of_the_n7_counts_traces_at_most_4_mib():
     finally:
         tracemalloc.stop()
     assert len(f._coeffs) == 162
-    assert peak <= 4 * 2**20, peak
+    assert peak <= 2.5 * 2**20, peak
 
 
 def test_transform_leaves_the_callers_table_as_it_was():
     for table, m in (
-        (counts_over_all_graphs(7, 3), 21),  # int32 copy, sparse branch
+        (counts_over_all_graphs(7, 3), 21),  # one-byte copy, sparse branch
         (np.random.default_rng(3).random(1 << 10), 10),  # float64 copy, dense branch
-        (np.arange(1 << 10, dtype=np.int32), 10),  # an int32 table is copied too
+        (np.arange(1 << 10, dtype=np.int32), 10),  # an int32 table past max|f| = 255: a float64 copy
     ):
         before = table.copy()
         fourier_transform(table, SimpleNamespace(size=m), 0.37)
@@ -573,6 +584,35 @@ def test_every_butterfly_pass_runs_at_or_above_the_buffer_floor(dtype, bufsize):
             assert min(runs, default=floor) >= min(floor, 1 << max(m - 1, 0)), (m, min(runs))
 
 
+def test_butterfly_allocates_scratch_only_for_a_step_that_takes_it():
+    import tracemalloc
+
+    m, calls = 21, []
+
+    def two(v0, v1):
+        calls.append(2)
+        v1 -= v0
+
+    def three(v0, v1, tmp):
+        calls.append(3)
+        np.subtract(v1, v0, out=tmp)
+        v1[...] = tmp
+
+    peaks = []
+    for step in (two, three):
+        v = np.arange(1 << m, dtype=np.float64)
+        tracemalloc.start()
+        try:
+            _butterfly(v, m, step)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(v, _butterfly(np.arange(1 << m, dtype=np.float64), m, pbf._moebius))
+    assert set(calls) == {2, 3} and calls.count(2) == calls.count(3)
+    # the scratch is half the largest buffer: 2^16 float64 entries at m = 21
+    assert peaks[1] - peaks[0] >= (1 << 16) * 8, peaks
+
+
 def _edge_halves(v, m):
     """The unblocked butterfly's passes: per edge, views (v0, v1) of the whole table,
     cut into strided columns while a run is shorter than 32 bytes."""
@@ -623,7 +663,7 @@ def test_blocked_butterfly_keeps_the_bits_of_the_per_edge_loop(m):
         table = np.zeros(1 << m)
         table[masks] = 1.0
         _per_edge_butterfly(table, m, lambda v0, v1: (v0, v1 + v0))
-    # the transform's Moebius pass, on its int32 and float64 copies
+    # the Moebius step on an integer table and on a float64 one, the transform's float64 tier
     for dtype in (np.int32, np.float64):
         ints = np.rint(table * 1000).astype(dtype)
         got = _butterfly(ints.copy(), m, _moebius_step)
@@ -660,6 +700,95 @@ def test_blocked_butterfly_keeps_the_bits_of_the_per_edge_loop(m):
 def test_blocked_butterfly_keeps_the_bits_under_a_small_bufsize(m, bufsize):
     with _bufsize(bufsize):
         test_blocked_butterfly_keeps_the_bits_of_the_per_edge_loop(m)
+
+
+def _byte_moebius(table, m, top):
+    """The uint8 tier by a plain per-edge loop: (masks, s_T) of the nonzero residues, or None."""
+    v = np.asarray(table).astype(np.uint8)  # f mod 256
+    for e in range(m):
+        w = v.reshape(-1, 2, 1 << e)
+        w[:, 1] -= w[:, 0]
+    masks = np.flatnonzero(v)
+    s = v[masks].view(np.int8).astype(np.int64)
+    return (masks, s) if int(np.abs(s).sum()) + top < 256 else None
+
+
+def _assert_row_sparse_moebius_matches(table, m):
+    table = np.asarray(table)
+    top = int(np.abs(table.astype(np.int64)).max())
+    got, want = pbf._certified_moebius(table, m, top), _byte_moebius(table, m, top)
+    assert (got is None) == (want is None), (m, top)
+    if want is not None:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    return got
+
+
+def test_row_sparse_moebius_matches_the_per_edge_byte_loop_on_every_clique_table():
+    for n in range(3, 8):
+        for r in range(3, n + 1):
+            table = counts_over_all_graphs(n, r)
+            assert _assert_row_sparse_moebius_matches(table, n * (n - 1) // 2) is not None, (n, r)
+
+
+def test_row_sparse_moebius_matches_the_per_edge_byte_loop_on_small_tables():
+    lo = pbf._run_floor() - 1  # rows of 2^lo bytes
+    rng = np.random.default_rng(31)
+    for m in sorted(set(range(4)) | {lo - 1, lo, lo + 1}):
+        for table in (
+            rng.integers(-3, 4, size=1 << m),
+            -rng.integers(0, 200, size=1 << m),
+            rng.integers(0, 2, size=1 << m).astype(np.bool_),
+            rng.integers(0, 256, size=1 << m).astype(np.uint8),
+            np.zeros(1 << m, dtype=np.int64),
+        ):
+            _assert_row_sparse_moebius_matches(table, m)
+
+
+def _one_residue_per_row(lo, rows, c):
+    """a_T = 1 at masks j << lo for j = 1..rows and a_0 = -c, and its table, at m = lo + 8.
+
+    Each a_T is alone in its row of 2^lo entries.  f runs from -c to rows - c.
+    """
+    m = lo + 8
+    a = np.zeros(1 << m, dtype=np.int64)
+    a[np.arange(1, rows + 1) << lo] = 1
+    a[0] = -c
+    return a, _zeta(a, m), m
+
+
+@pytest.mark.parametrize("bufsize", (None,) + SMALL_BUFSIZES)
+def test_row_sparse_moebius_returns_none_once_its_rows_and_max_f_reach_256(bufsize):
+    with _bufsize(bufsize):
+        lo = pbf._run_floor() - 1
+        for rows, c, certifies in (
+            (127, 0, True),  # 127 nonzero rows + max|f| 127 = 254, and sum |a| + max|f| = 254
+            (126, 1, True),  # 127 rows (row 0 holds -1) + max|f| 125 = 252 = sum |a| + max|f|
+            (128, 0, False),  # 128 + 128 = 256: the early exit
+            (169, 85, False),  # 170 + 85 = 255 passes it, and sum |a| + max|f| = 339 does not certify
+            (170, 85, False),  # 171 + 85 = 256
+        ):
+            a, table, m = _one_residue_per_row(lo, rows, c)
+            top = int(np.abs(table).max())
+            nonzero_rows = np.count_nonzero(np.abs(a).reshape(-1, 1 << lo).sum(axis=1))
+            assert top == max(c, rows - c) and nonzero_rows == rows + (c > 0)
+            got = _assert_row_sparse_moebius_matches(table, m)
+            assert (got is not None) == certifies
+            if certifies:
+                assert got[0].tolist() == np.flatnonzero(a).tolist() and got[1].tolist() == a[a != 0].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(0, 16),
+    terms=st.lists(st.tuples(st.integers(0, 2**16 - 1), st.integers(-40, 40)), max_size=10),
+)
+def test_row_sparse_moebius_matches_the_per_edge_byte_loop_on_sparse_tables(m, terms):
+    # few a_T, so few nonzero rows, and tables on both sides of the certificate
+    a = np.zeros(1 << m, dtype=np.int64)
+    for mask, c in terms:
+        a[mask & ((1 << m) - 1)] += c
+    _assert_row_sparse_moebius_matches(_zeta(a, m), m)
 
 
 def _coefficient_outputs():
