@@ -248,33 +248,35 @@ class DecouplingCheck:
 
 
 def decoupling_check(
-    f: PBFunction, part: BlockPartition, ts: Sequence[float], mc: MCConfig
+    table: np.ndarray, part: BlockPartition, p: float, ts: Sequence[float], mc: MCConfig
 ) -> list[DecouplingCheck]:
     """Both sides of |phi_f(t)|^{2^k} <= E_Y |E_X e^{it alpha(f)}|, one check per t in ts.
 
-    The left side is exact, read off the law of f's values as in exact_chf.
-    The right side reads alpha(f)(X, Y) = sum_v (-1)^|v| f(X, Y^v) off f's
-    truth table, where Y^v takes copy v_b of each edge of block b: exact over
-    the X assignments of B_0, Monte Carlo over the rows of ``mc.edge_draws``
-    (column 2j + copy is that copy of the j-th Y edge), in row blocks so that
-    memory does not grow with the samples.  One truth table, one law and one
-    set of Y draws serve every t; an empty ts builds none of them.  The right
-    side's stderr needs two Y rows, so one is a DomainError.
+    ``table`` is f's truth table on part.ground, read in place.  The left side
+    is exact, read off the law of f's values as in exact_chf.  The right side
+    reads alpha(f)(X, Y) = sum_v (-1)^|v| f(X, Y^v) off it, Y^v taking copy v_b
+    of each edge of block b: exact over the X assignments of B_0, Monte Carlo
+    over the rows of ``mc.edge_draws`` (column 2j + copy is that copy of the
+    j-th Y edge), in row blocks, so memory does not grow with the samples.
+    One law and one set of Y draws serve every t; an empty ts draws none.
+    p outside (0, 1) and one Y row (the rhs stderr needs two) are DomainErrors.
     """
+    table = np.asarray(table)
+    if table.shape != (1 << part.ground.size,):
+        raise GroundMismatchError(f"table must have length 2^{part.ground.size}, the partition's ground")
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"p must lie in (0,1), got {p}")
     if len(ts) == 0:
         return []
     if mc.samples < 2:
         raise DomainError(f"need at least two Y rows for the rhs stderr, got samples={mc.samples}")
-    if not isinstance(f.ground, EdgeGround) or f.ground != part.ground:
-        raise GroundMismatchError("function and partition live on different grounds")
-    table = f.table()  # CapacityError above TABLE_EDGE_CAP edges
     x_edges = [e for e, b in enumerate(part.block_of) if b == 0]
     y_edges = [e for e, b in enumerate(part.block_of) if b != 0]
     # x_index[a]: the base-edge bits of X assignment a, whose bit i is edge x_edges[i]
     x_index = np.zeros(1, dtype=np.int64)
     for e in x_edges:
         x_index = np.concatenate([x_index, x_index | 1 << e])
-    wx = assignment_weights(len(x_edges), f.p)
+    wx = assignment_weights(len(x_edges), p)
     vs = list(product((0, 1), repeat=part.k))
     # pick[v, j]: the draw column of the copy of the j-th Y edge that Y^v takes
     pick = np.array([[2 * j + v[part.block_of[e] - 1] for j, e in enumerate(y_edges)] for v in vs], dtype=np.intp)
@@ -283,16 +285,16 @@ def decoupling_check(
     step = max(1, CHUNK_DRAWS // (4 * x_index.size))
 
     abs_vals: list[list[np.ndarray]] = [[] for _ in ts]
-    for _, draws in mc.edge_draws([2 * len(y_edges)], f.p):
+    for _, draws in mc.edge_draws([2 * len(y_edges)], p):
         y_masks = draws[:, pick] @ y_edge_bits  # (rows, 2^k): the edge mask of each Y^v
         for lo in range(0, len(y_masks), step):
             block = y_masks[lo : lo + step]
             g = np.zeros((len(block), x_index.size))
-            for v, y_mask in zip(vs, block.T):
-                g += (-1) ** sum(v) * table[y_mask[:, None] | x_index]
+            for v, y_mask in zip(vs, block.T):  # add or subtract: a uint8 table takes no sign
+                (np.subtract if sum(v) % 2 else np.add)(g, table[y_mask[:, None] | x_index], out=g)
             for out, t in zip(abs_vals, ts):
                 out.append(np.abs(_inner_chf(g, t, wx)))
-    law = _value_law(table, f.p)
+    law = _value_law(table, p)
     checks = []
     for t, vals in zip(ts, abs_vals):
         allvals = np.concatenate(vals)

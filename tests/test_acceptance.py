@@ -221,7 +221,7 @@ def test_criterion_06_decoupling_inequality():
     part = bisection_partition(5)
     mc = MCConfig(seed=606, samples=10_000, workers=2)
     ok = True
-    for chk in decoupling_check(f, part, (0.5, 1.0, 2.0), mc):
+    for chk in decoupling_check(f.table(), part, f.p, (0.5, 1.0, 2.0), mc):
         ok &= chk.lhs <= chk.rhs + 3.0 * chk.rhs_stderr
     elapsed = time.time() - started
     ok &= elapsed < 60.0
@@ -363,7 +363,7 @@ def test_criterion_11_determinism():
     f = fr_function(spec5)
     part = bisection_partition(5)
     mc2 = MCConfig(seed=42, samples=2_000, workers=3)
-    [c1] = decoupling_check(f, part, (1.0,), mc2)
-    [c2] = decoupling_check(f, part, (1.0,), mc2)
+    [c1] = decoupling_check(f.table(), part, f.p, (1.0,), mc2)
+    [c2] = decoupling_check(f.table(), part, f.p, (1.0,), mc2)
     ok &= c1.rhs == c2.rhs and c1.rhs_stderr == c2.rhs_stderr and c1.lhs == c2.lhs
     assert report(11, "bit-identical MC reproducibility", ok, started)

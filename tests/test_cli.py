@@ -226,16 +226,29 @@ def test_exhaustive_law_above_the_edge_cap_is_a_capacity_error():
 
 def test_decoupling_check_above_the_table_cap_fails_before_building_f(capsys, monkeypatch):
     # regression: n = 12, r = 5 spent about 10 s in fr_function before the
-    # truth table reported its cap
+    # truth table reported its cap; the check reads the clique counts, and
+    # builds f_r at no size
+    argv = ["decoupling-check", "--n", "6", "--r", "3", "--samples", "50"]
+    _, plain = run(argv, capsys)
+
     def fail(spec):
-        raise AssertionError("fr_function called above the truth-table cap")
+        raise AssertionError("fr_function called by decoupling-check")
 
     monkeypatch.setattr(cliquellt.cli, "fr_function", fail)
+    assert run(argv, capsys) == (0, plain)
     monkeypatch.setattr(sys, "argv", ["cliquellt", "decoupling-check", "--n", "12", "--r", "5"])
     assert cliquellt.cli._program() == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "cliquellt: error: truth table capped at 21 edges, got 66\n"
+    assert captured.err == "cliquellt: error: exhaustive enumeration capped at 21 edges, got 66\n"
+
+
+def test_decoupling_check_at_a_tiny_p_exits_0(capsys):
+    # regression: p = 1e-300 exited 2 on the underflowing mean of f_r, which the check never reads
+    code, out = run(["decoupling-check", "--n", "7", "--p", "1e-300", "--samples", "50"], capsys)
+    assert code == 0
+    config, _, rows = parse_csv(out)
+    assert config["all_pass"] == "True" and len(rows) == 3
 
 
 def test_decoupling_check_with_one_y_row_is_one_line_and_exit_2(capsys, monkeypatch):
@@ -332,6 +345,8 @@ ROW_DIGESTS = {  # sha256 prefix of each command's rows; the header is left out,
     ("chf-scan", "--n", "70", "--r", "4", "--samples", "300", "--workers", "2"): "c2533ccad138d5fd",  # two words per row
     # the lhs is read off the law of f's values, the rhs is Monte Carlo
     ("decoupling-check", "--n", "6", "--r", "3", "--samples", "2000", "--seed", "5"): "54772e1925836cd4",
+    # p = 0.3 reads the integer counts, which f_r's float table was off by up to 7.1e-15
+    ("decoupling-check", "--p", "0.3", "--n", "6", "--r", "3", "--samples", "2000", "--seed", "5"): "1d11b4303d52ae91",
 }
 
 

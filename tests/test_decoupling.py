@@ -365,7 +365,7 @@ def test_decoupling_check_golden_bits():
     for (p, seed, samples, workers), rows in golden.items():
         f = fr_function(CliqueSpec(n=5, r=3, p=p))
         mc = MCConfig(seed=seed, samples=samples, workers=workers)
-        for chk, (rhs, stderr) in zip(decoupling_check(f, part, (0.5, 1.0, 2.0), mc), rows, strict=True):
+        for chk, (rhs, stderr) in zip(decoupling_check(f.table(), part, f.p, (0.5, 1.0, 2.0), mc), rows, strict=True):
             assert chk.rhs == float.fromhex(rhs)
             assert chk.rhs_stderr == float.fromhex(stderr)
 
@@ -375,7 +375,7 @@ def test_decoupling_check_holds():
     f = fr_function(spec)
     part = bisection_partition(4)
     mc = MCConfig(seed=42, samples=2000, workers=2)
-    for t, chk in zip((0.0, 0.5, 1.5), decoupling_check(f, part, (0.0, 0.5, 1.5), mc)):
+    for t, chk in zip((0.0, 0.5, 1.5), decoupling_check(f.table(), part, f.p, (0.0, 0.5, 1.5), mc)):
         assert chk.holds
         if t == 0.0:
             assert chk.lhs == pytest.approx(1.0)
@@ -387,11 +387,11 @@ def test_decoupling_check_deterministic():
     f = fr_function(spec)
     part = bisection_partition(4)
     mc = MCConfig(seed=7, samples=500, workers=3)
-    a = decoupling_check(f, part, (1.0, 2.0), mc)
-    b = decoupling_check(f, part, (1.0, 2.0), mc)
+    a = decoupling_check(f.table(), part, f.p, (1.0, 2.0), mc)
+    b = decoupling_check(f.table(), part, f.p, (1.0, 2.0), mc)
     assert a == b
     # every t sees the same Y draws, as in a call of its own
-    assert a == decoupling_check(f, part, (1.0,), mc) + decoupling_check(f, part, (2.0,), mc)
+    assert a == decoupling_check(f.table(), part, f.p, (1.0,), mc) + decoupling_check(f.table(), part, f.p, (2.0,), mc)
 
 
 def test_decoupling_check_on_an_empty_grid_builds_nothing(monkeypatch):
@@ -399,21 +399,23 @@ def test_decoupling_check_on_an_empty_grid_builds_nothing(monkeypatch):
         raise AssertionError("built for an empty t grid")
 
     monkeypatch.setattr(cliquellt.decoupling, "alpha_transform", fail)
-    monkeypatch.setattr(PBFunction, "table", fail)
+    monkeypatch.setattr(cliquellt.decoupling, "_value_law", fail)
     monkeypatch.setattr(MCConfig, "edge_draws", fail)
-    f = fr_function(CliqueSpec(n=4, r=3, p=0.5))
-    assert decoupling_check(f, bisection_partition(4), [], MCConfig(seed=0, samples=10)) == []
+    table = counts_over_all_graphs(4, 3)
+    assert decoupling_check(table, bisection_partition(4), 0.5, [], MCConfig(seed=0, samples=10)) == []
 
 
 def test_decoupling_check_refuses_one_y_row_before_the_truth_table(monkeypatch):
-    # regression: one row gave rhs_stderr 0, a zero band that decided `holds`
+    # regression: one row gave rhs_stderr 0, a zero band that decided `holds`;
+    # the caller owns the table, so the refusal comes before any draw or law
     def fail(*args, **kwargs):
         raise AssertionError("built for one Y row")
 
-    monkeypatch.setattr(PBFunction, "table", fail)
-    f = fr_function(CliqueSpec(n=4, r=3, p=0.5))
+    monkeypatch.setattr(MCConfig, "edge_draws", fail)
+    monkeypatch.setattr(cliquellt.decoupling, "_value_law", fail)
+    table = counts_over_all_graphs(4, 3)
     with pytest.raises(DomainError, match="two Y rows"):
-        decoupling_check(f, bisection_partition(4), [1.0], MCConfig(seed=0, samples=1))
+        decoupling_check(table, bisection_partition(4), 0.5, [1.0], MCConfig(seed=0, samples=1))
 
 
 @pytest.mark.parametrize("sizes", [[3, 2], [2, 2, 1]])
@@ -438,7 +440,7 @@ def test_decoupling_check_rhs_against_alpha_pointwise(sizes):
                 re = math.fsum(w * math.cos(t * a) for w, a in g)
                 im = math.fsum(w * math.sin(t * a) for w, a in g)
                 inner[t].append(math.hypot(re, im))
-    for t, chk in zip(ts, decoupling_check(f, part, ts, mc), strict=True):
+    for t, chk in zip(ts, decoupling_check(f.table(), part, f.p, ts, mc), strict=True):
         assert len(inner[t]) == 200
         assert abs(chk.rhs - math.fsum(inner[t]) / 200) <= 1e-14
 
@@ -448,28 +450,42 @@ def test_decoupling_check_edge_partitions():
     for p in (0.5, 0.3):
         # k = 0: alpha(f) = f and X is every edge, so the rhs is |phi_f(t)|, the lhs
         f = fr_function(CliqueSpec(n=4, r=3, p=p))
-        for chk in decoupling_check(f, BlockPartition(EdgeGround(4), 0, (0,) * 6), ts, MCConfig(seed=2, samples=50)):
+        k0 = BlockPartition(EdgeGround(4), 0, (0,) * 6)
+        for chk in decoupling_check(f.table(), k0, f.p, ts, MCConfig(seed=2, samples=50)):
             assert abs(chk.rhs - chk.lhs) <= 1e-15
         # empty B_0: E_X is over one point, so every inner value is |e^{i t g}| = 1;
         # on the CLI's grid it rounds to 1.0 exactly (at t = 3, |e^{3i}| does not)
         f = fr_function(CliqueSpec(n=3, r=3, p=p))
         part = BlockPartition(EdgeGround(3), 1, (1, 1, 1))
-        for chk in decoupling_check(f, part, (0.5, 1.0, 2.0), MCConfig(seed=3, samples=500, workers=2)):
+        for chk in decoupling_check(f.table(), part, f.p, (0.5, 1.0, 2.0), MCConfig(seed=3, samples=500, workers=2)):
             assert chk.rhs == 1.0 and chk.rhs_stderr == 0.0
     # f must live on the partition's ground
+    f = fr_function(CliqueSpec(n=5, r=3, p=0.5))
     with pytest.raises(GroundMismatchError):
-        decoupling_check(fr_function(CliqueSpec(n=5, r=3, p=0.5)), bisection_partition(4), ts, MCConfig(seed=0, samples=2))
+        decoupling_check(f.table(), bisection_partition(4), f.p, ts, MCConfig(seed=0, samples=2))
+
+
+def test_decoupling_check_validates_its_table_and_p():
+    # a table of the wrong length is test_decoupling_check_edge_partitions' last case
+    part, mc, ts = bisection_partition(4), MCConfig(seed=0, samples=2), (0.5, 1.0, 2.0)
+    table = counts_over_all_graphs(4, 3)
+    with pytest.raises(GroundMismatchError):
+        decoupling_check(table.reshape(8, 8), part, 0.5, ts, mc)
+    for p in (0.0, 1.0, math.nan):
+        with pytest.raises(DomainError, match="p must lie in"):
+            decoupling_check(table, part, p, ts, mc)
 
 
 def test_decoupling_check_memory_does_not_grow_with_the_samples():
     # regression: the whole (samples x 2^nx) table of inner values was held at
     # once, 33 MB at 4000 samples with nx = 10; row blocks keep it under 2 MB
     f = fr_function(CliqueSpec(n=6, r=3, p=0.5))
+    table = f.table()
     part = build_color_partition(6, 1, [5, 1])
-    decoupling_check(f, part, (1.0,), MCConfig(seed=3, samples=10))  # first-call allocations
+    decoupling_check(table, part, f.p, (1.0,), MCConfig(seed=3, samples=10))  # first-call allocations
     tracemalloc.start()
     try:
-        decoupling_check(f, part, (1.0,), MCConfig(seed=3, samples=4000))
+        decoupling_check(table, part, f.p, (1.0,), MCConfig(seed=3, samples=4000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

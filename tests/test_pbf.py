@@ -15,13 +15,11 @@ from cliquellt import (
     CliqueSpec,
     DomainError,
     EdgeGround,
-    MCConfig,
     PBFunction,
     alpha_transform,
     build_clique_partition,
     build_color_partition,
     chi_value,
-    decoupling_check,
     exact_chf,
     fourier_transform,
     fr_function,
@@ -151,16 +149,11 @@ def test_transform_edge_count_table_and_cap():
     assert pbf.TABLE_EDGE_CAP == EXACT_DISTRIBUTION_EDGE_CAP == 21
     n7, n8, hand22 = EdgeGround(7), EdgeGround(8), SimpleNamespace(size=22)
 
-    def decouple(g):
-        part = build_color_partition(g.n, 1, [g.n - g.n // 2, g.n // 2])
-        return decoupling_check(fr_function(CliqueSpec(g.n, 3, 0.5)), part, [1.0], MCConfig(seed=0, samples=2))
-
     entry_points = [
         (lambda g: counts_over_all_graphs(g.n, 3), [n8]),
         (lambda g: PBFunction.constant(g, 0.5, 1.0).table(), [hand22, n8]),
         (lambda g: fourier_transform(np.zeros(1 << 21), g, 0.5), [hand22, n8]),
         (lambda g: exact_chf(PBFunction.constant(g, 0.5, 1.0), 1.0), [n8]),
-        (decouple, [n8]),
     ]
     for run, above in entry_points:
         run(n7)

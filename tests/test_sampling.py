@@ -103,9 +103,9 @@ def test_draws_same_for_any_chunk_height(monkeypatch):
     for p, seed, samples, workers in ((0.5, 1, 2000, 1), (0.3, 4, 3000, 2), (0.3, 4, 15, 1)):
         f = fr_function(CliqueSpec(n=5, r=3, p=p))
         mc = MCConfig(seed=seed, samples=samples, workers=workers)
-        ref = decoupling_check(f, part, (0.5, 1.0, 2.0), mc)
+        ref = decoupling_check(f.table(), part, f.p, (0.5, 1.0, 2.0), mc)
         for rows in (2, 7, 14, 1000):
-            assert with_rows(rows, 14, lambda: decoupling_check(f, part, (0.5, 1.0, 2.0), mc)) == ref
+            assert with_rows(rows, 14, lambda: decoupling_check(f.table(), part, f.p, (0.5, 1.0, 2.0), mc)) == ref
 
 
 def _per_worker_counts(spec, mc):
