@@ -32,7 +32,7 @@ from .cliques import CliqueSpec, counts_over_all_graphs, exact_distribution, fr_
 from .decoupling import build_color_partition, decoupling_check, exact_chf
 from .distributions import LatticeSpec, discrete_gaussian, l1_distance, linf_distance
 from .errors import CapacityError, DomainError
-from .pbf import TABLE_EDGE_CAP, assignment_weights
+from .pbf import TABLE_EDGE_CAP, _value_law
 from .sampling import MCConfig, empirical_chf_grid, sample_clique_laws, sample_kappa
 
 
@@ -203,15 +203,14 @@ def cmd_bounds_check(args) -> int:
 
     # hypercontractive moment bound against an exact 4th moment (n=4, f = kappa-style quadratic)
     f = fr_function(spec).tail(1)
-    weights = assignment_weights(f.ground.size, p)
-    vals = f.table()
-    exact4 = float(np.sum(weights * vals**4))
+    vals, masses = _value_law(f.table(), p)
+    exact4 = float(np.sum(masses * vals**4))
     hp = HypParams(d=f.degree(), lam=spec.lam)
     record("hyperconc_moment", hyperconc_moment(hp, f.norm2(), 2.0) - exact4)
 
     # hypercontractive tail bound at the smallest valid threshold (probability <= 1 trivially below)
     tmin = (2 * math.e / hp.lam) ** (hp.d / 2.0)
-    exceed = float(np.sum(weights * (np.abs(vals) >= tmin * f.norm2())))
+    exceed = float(np.sum(masses * (np.abs(vals) >= tmin * f.norm2())))
     record("hyperconc_tail", hyperconc_tail(hp, f.norm2(), tmin) - exceed)
 
     # mainchf bound on n=5: X = degree-1 part of kappa (an edge sum), Y = its degree->=2 part

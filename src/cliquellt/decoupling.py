@@ -10,11 +10,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cliques import clique_edge_masks
-from .distributions import SERIAL_BLAS_ENTRIES, chf_sum
+from .cliques import _unions, clique_edge_masks
+from .distributions import _inner_chf, chf_sum
 from .errors import DomainError, GroundMismatchError
 from .ground import EdgeGround, GraphAssignment
-from .pbf import PBFunction, _edges, _mask, assignment_weights, popcount_array
+from .pbf import PBFunction, _edges, _mask, _value_law, assignment_weights
 from .sampling import CHUNK_DRAWS, MCConfig
 
 
@@ -218,24 +218,6 @@ def exact_chf(f: PBFunction, t: float) -> complex:
     return chf_sum(t, *_value_law(f.table(), f.p))
 
 
-def _value_law(table: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """f's distinct values and the probability of each, from its 2^m-entry truth table.
-
-    As exact_distribution builds its law: an integer histogram N[value, k]
-    counts the assignments of each value with k edges, and
-    P(f = value) = sum_k N[value, k] p^k (1-p)^(m-k), a sum of at most m+1
-    terms.  A chf over the values then costs its distinct values, not 2^m
-    entries, and no BLAS product is involved.  No weight is accumulated entry
-    by entry (np.bincount's ``weights``), whose rounding grows with 2^m.
-    """
-    m = table.size.bit_length() - 1
-    values, inv = np.unique(table, return_inverse=True)
-    hist = np.bincount(inv * (m + 1) + popcount_array(m), minlength=values.size * (m + 1))
-    k = np.arange(m + 1)
-    masses = (hist.reshape(values.size, m + 1) * (p**k * (1.0 - p) ** (m - k))).sum(axis=1)
-    return values, masses
-
-
 @dataclass(frozen=True)
 class DecouplingCheck:
     lhs: float
@@ -253,11 +235,13 @@ def decoupling_check(
     """Both sides of |phi_f(t)|^{2^k} <= E_Y |E_X e^{it alpha(f)}|, one check per t in ts.
 
     ``table`` is f's truth table on part.ground, read in place.  The left side
-    is exact, read off the law of f's values as in exact_chf.  The right side
-    reads alpha(f)(X, Y) = sum_v (-1)^|v| f(X, Y^v) off it, Y^v taking copy v_b
-    of each edge of block b: exact over the X assignments of B_0, Monte Carlo
-    over the rows of ``mc.edge_draws`` (column 2j + copy is that copy of the
-    j-th Y edge), in row blocks, so memory does not grow with the samples.
+    is exact, read off the law of f's values as in exact_chf.  It comes first,
+    so a t whose phases t f are not finite is a DomainError before any draw.
+    The right side reads alpha(f)(X, Y) = sum_v (-1)^|v| f(X, Y^v) off the
+    table, Y^v taking copy v_b of each edge of block b: exact over the X
+    assignments of B_0, Monte Carlo over the rows of ``mc.edge_draws`` (column
+    2j + copy is that copy of the j-th Y edge), in row blocks, so memory does
+    not grow with the samples.
     One law and one set of Y draws serve every t; an empty ts draws none.
     p outside (0, 1) and one Y row (the rhs stderr needs two) are DomainErrors.
     """
@@ -270,12 +254,12 @@ def decoupling_check(
         return []
     if mc.samples < 2:
         raise DomainError(f"need at least two Y rows for the rhs stderr, got samples={mc.samples}")
+    law = _value_law(table, p)
+    lhs = [abs(chf_sum(t, *law)) ** (2**part.k) for t in ts]
     x_edges = [e for e, b in enumerate(part.block_of) if b == 0]
     y_edges = [e for e, b in enumerate(part.block_of) if b != 0]
     # x_index[a]: the base-edge bits of X assignment a, whose bit i is edge x_edges[i]
-    x_index = np.zeros(1, dtype=np.int64)
-    for e in x_edges:
-        x_index = np.concatenate([x_index, x_index | 1 << e])
+    x_index = np.array(_unions([1 << e for e in x_edges]), dtype=np.int64)
     wx = assignment_weights(len(x_edges), p)
     vs = list(product((0, 1), repeat=part.k))
     # pick[v, j]: the draw column of the copy of the j-th Y edge that Y^v takes
@@ -294,29 +278,10 @@ def decoupling_check(
                 (np.subtract if sum(v) % 2 else np.add)(g, table[y_mask[:, None] | x_index], out=g)
             for out, t in zip(abs_vals, ts):
                 out.append(np.abs(_inner_chf(g, t, wx)))
-    law = _value_law(table, p)
     checks = []
-    for t, vals in zip(ts, abs_vals):
+    for lhs_t, vals in zip(lhs, abs_vals):
         allvals = np.concatenate(vals)
-        lhs = abs(chf_sum(t, *law)) ** (2**part.k)
-        rhs = float(np.mean(allvals))
         stderr = float(np.std(allvals, ddof=1) / math.sqrt(allvals.size))
-        checks.append(DecouplingCheck(lhs=lhs, rhs=rhs, rhs_stderr=stderr))
+        checks.append(DecouplingCheck(lhs=lhs_t, rhs=float(np.mean(allvals)), rhs_stderr=stderr))
     return checks
 
-
-def _inner_chf(g_vals: np.ndarray, t: float, wx: np.ndarray) -> np.ndarray:
-    """np.exp(1j*t*g_vals) @ wx, by row blocks of about SERIAL_BLAS_ENTRIES.
-
-    Each row's sum has the same bits as in one product over all rows, but no
-    block is large enough for OpenBLAS to start its thread pool.  A lone row
-    goes through another BLAS kernel, whose bits differ, so it is summed as
-    row 0 of a two-row product.
-    """
-    out = np.empty(g_vals.shape[0], dtype=np.complex128)
-    step = max(2, SERIAL_BLAS_ENTRIES // g_vals.shape[1])
-    for lo in range(0, len(out), step):
-        rows = g_vals[lo : lo + step]
-        phases = np.exp(1j * t * (rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)))
-        out[lo : lo + len(rows)] = (phases @ wx)[: len(rows)]
-    return out

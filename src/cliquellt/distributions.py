@@ -168,8 +168,25 @@ def phase_blocks(ts: np.ndarray, x: np.ndarray):
             yield tsl, xs, np.multiply.outer(ts[tsl], x[xs])
 
 
+def _inner_chf(g_vals: np.ndarray, t: float, wx: np.ndarray) -> np.ndarray:
+    """np.exp(1j*t*g_vals) @ wx, the decoupling rhs's E_X per row, by row blocks of about SERIAL_BLAS_ENTRIES.
+
+    Each row's sum has the same bits as in one product over all rows, but no
+    block is large enough for OpenBLAS to start its thread pool.  A lone row
+    goes through another BLAS kernel, whose bits differ, so it is summed as
+    row 0 of a two-row product.
+    """
+    out = np.empty(g_vals.shape[0], dtype=np.complex128)
+    step = max(2, SERIAL_BLAS_ENTRIES // g_vals.shape[1])
+    for lo in range(0, len(out), step):
+        rows = g_vals[lo : lo + step]
+        phases = np.exp(1j * t * (rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)))
+        out[lo : lo + len(rows)] = (phases @ wx)[: len(rows)]
+    return out
+
+
 def chf_sum(t, x, w):
-    """sum_j w_j e^{i t x_j} at a scalar t or at each entry of an array t: the package's one chf sum.
+    """sum_j w_j e^{i t x_j} at a scalar t or at each entry of an array t: the chf of every law.
 
     DomainError when max|t| max|x| is not finite: a phase t x_j past the
     float range has no cos or sin.

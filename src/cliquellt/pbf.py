@@ -9,7 +9,6 @@ whatever their size.
 
 from __future__ import annotations
 
-import inspect
 import math
 from functools import cached_property
 from itertools import combinations
@@ -154,8 +153,8 @@ class PBFunction:
         v[list(self._coeffs)] = list(self._coeffs.values())
         c0, c1 = chi_value(self.p, 0), chi_value(self.p, 1)
 
-        def step(v0, v1, tmp):
-            np.multiply(v1, c0, out=tmp)
+        def step(v0, v1):
+            tmp = v1 * c0
             v1 *= c1
             v1 += v0  # v0 + c1 v1
             v0 += tmp  # v0 + c0 v1
@@ -285,6 +284,24 @@ def popcount_array(m: int) -> np.ndarray:
     return pc
 
 
+def _value_law(table: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """f's distinct values and the probability of each, from its 2^m-entry truth table.
+
+    As exact_distribution builds its law: an integer histogram N[value, k]
+    counts the assignments of each value with k edges, and
+    P(f = value) = sum_k N[value, k] p^k (1-p)^(m-k), a sum of at most m+1
+    terms.  A chf over the values then costs its distinct values, not 2^m
+    entries, and no BLAS product is involved.  No weight is accumulated entry
+    by entry (np.bincount's ``weights``), whose rounding grows with 2^m.
+    """
+    m = table.size.bit_length() - 1
+    values, inv = np.unique(table, return_inverse=True)
+    hist = np.bincount(inv * (m + 1) + popcount_array(m), minlength=values.size * (m + 1))
+    k = np.arange(m + 1)
+    masses = (hist.reshape(values.size, m + 1) * (p**k * (1.0 - p) ** (m - k))).sum(axis=1)
+    return values, masses
+
+
 def _run_floor() -> int:
     """R: numpy copies a contiguous run shorter than 2^R = np.getbufsize() // 2 entries through its buffer."""
     return (np.getbufsize() // 2).bit_length() - 1  # numpy's bufsize is at least 16
@@ -309,9 +326,8 @@ def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
       table viewed as (2^(m-b), 2^b).
 
     ``step(v0, v1)`` gets matching views of entries with edge e's bit 0 and
-    1 and overwrites them with their new values, entry by entry.  A step with
-    a third parameter, ``step(v0, v1, tmp)``, also gets a scratch array of
-    their shape; the scratch is allocated only for such a step.
+    1 and overwrites them with their new values, entry by entry.  A step that
+    needs the old v1 after writing it makes its own temporary, of half a piece.
     """
     floor = _run_floor()
     b = min(m, max((BUTTERFLY_BLOCK_BYTES // v.itemsize).bit_length() - 1, floor + 1))
@@ -321,32 +337,29 @@ def _butterfly(v: np.ndarray, m: int, step: Callable) -> np.ndarray:
     bufs = [np.empty(max(1 << b, strip), dtype=v.dtype)]
     if len(groups) > 2:  # a second block to ping-pong with
         bufs.append(np.empty(1 << b, dtype=v.dtype))
-    takes_scratch = len(inspect.signature(step).parameters) > 2
-    tmp = np.empty(bufs[0].size >> 1, dtype=v.dtype) if takes_scratch else None  # half the largest piece
     for block in v.reshape(-1, 1 << b):
         src = block
         for i, k in enumerate(groups):
             dst = block if i == len(groups) - 1 else bufs[i % 2][: 1 << b]
             # rotate by k: position j goes to (j - k) mod b (k = b only for a lone group, in place)
             np.copyto(dst.reshape(1 << k, 1 << (b - k)), src.reshape(1 << (b - k), 1 << k).T)
-            _passes(dst, range(b - k, b), step, tmp)
+            _passes(dst, range(b - k, b), step)
             src = dst
     if m > b:
         rows = v.reshape(1 << (m - b), 1 << b)
         cols = bufs[0][:strip].reshape(1 << (m - b), 1 << floor)
         for c in range(0, 1 << b, 1 << floor):
             np.copyto(cols, rows[:, c : c + (1 << floor)])
-            _passes(cols.reshape(-1), range(floor, floor + m - b), step, tmp)
+            _passes(cols.reshape(-1), range(floor, floor + m - b), step)
             np.copyto(rows[:, c : c + (1 << floor)], cols)
     return v
 
 
-def _passes(v: np.ndarray, bits: Iterable[int], step: Callable, tmp: np.ndarray | None) -> None:
+def _passes(v: np.ndarray, bits: Iterable[int], step: Callable) -> None:
     """One step per bit position of the flat array v, in the order given."""
     for e in bits:
         w = v.reshape(-1, 2, 1 << e)
-        scratch = () if tmp is None else (tmp[: v.size >> 1].reshape(-1, 1 << e),)
-        step(w[:, 0], w[:, 1], *scratch)
+        step(w[:, 0], w[:, 1])
 
 
 def _moebius(v0, v1):
@@ -376,9 +389,7 @@ def _certified_moebius(table: np.ndarray, m: int, top: int):
     lo = min(m, _run_floor() - 1)
     v = np.empty(1 << m, dtype=np.uint8)
     np.copyto(v, table, casting="unsafe")  # f mod 256
-    for e in range(lo, m):  # wraps per byte
-        w = v.reshape(-1, 2, 1 << e)
-        _moebius(w[:, 0], w[:, 1])
+    _passes(v, range(lo, m), _moebius)  # wraps per byte
     rows = v.reshape(-1, 1 << lo)
     nonzero = np.flatnonzero(rows.any(axis=1))
     k = nonzero.size
@@ -390,8 +401,6 @@ def _certified_moebius(table: np.ndarray, m: int, top: int):
         w = low.reshape(1 << (lo - e - 1), 2, k << e)
         _moebius(w[:, 0], w[:, 1])
     cells = np.flatnonzero(low)
-    if cells.size + top >= 256:  # each nonzero cell is an s_T with |s_T| >= 1
-        return None
     column, j = np.divmod(cells, k)
     masks = nonzero[j] << lo | column
     order = np.argsort(masks)
@@ -473,9 +482,8 @@ def fourier_transform(table: np.ndarray, ground, p: float) -> PBFunction:
             dense = np.zeros(1 << m)
             dense[masks] = a
 
-        def weighted(v0, v1, tmp):
-            np.multiply(v1, p, out=tmp)
-            v0 += tmp
+        def weighted(v0, v1):
+            v0 += p * v1
 
         vals = _butterfly(dense, m, weighted)
         vals *= powers[popcount_array(m)]

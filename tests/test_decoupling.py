@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,27 @@ def test_decoupling_check_refuses_one_y_row_before_the_truth_table(monkeypatch):
     table = counts_over_all_graphs(4, 3)
     with pytest.raises(DomainError, match="two Y rows"):
         decoupling_check(table, bisection_partition(4), 0.5, [1.0], MCConfig(seed=0, samples=1))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 1e308])
+def test_decoupling_check_refuses_a_phase_past_the_floats_before_any_draw(monkeypatch, t):
+    # regression: a bad t ran every Y draw, and the row sums warned of overflow,
+    # before the lhs raised; the lhs now comes first
+    def fail(*args, **kwargs):
+        raise AssertionError("drew Y rows for a t with no finite phase")
+
+    monkeypatch.setattr(MCConfig, "edge_draws", fail)
+    table = counts_over_all_graphs(5, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="chf phase t x is not finite"):
+            decoupling_check(table, bisection_partition(5), 0.5, [1.0, t], MCConfig(seed=0, samples=50))
+
+
+def test_decoupling_check_takes_the_largest_finite_phase():
+    table = counts_over_all_graphs(5, 3)  # max f = 10: t f = 1e308 at t = 1e307
+    (check,) = decoupling_check(table, bisection_partition(5), 0.5, [1e307], MCConfig(seed=0, samples=50))
+    assert all(math.isfinite(x) for x in (check.lhs, check.rhs, check.rhs_stderr))
 
 
 @pytest.mark.parametrize("sizes", [[3, 2], [2, 2, 1]])
