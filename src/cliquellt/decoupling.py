@@ -241,7 +241,10 @@ def decoupling_check(
     table, Y^v taking copy v_b of each edge of block b: exact over the X
     assignments of B_0, Monte Carlo over the rows of ``mc.edge_draws`` (column
     2j + copy is that copy of the j-th Y edge), in row blocks, so memory does
-    not grow with the samples.
+    not grow with the samples.  The rows come through ``mc.map_chunks``: each
+    group of workers reads its own rows on its own thread, and the per-row
+    values are joined in (worker, sample) order, so no bit depends on the
+    thread count.
     One law and one set of Y draws serve every t; an empty ts draws none.
     p outside (0, 1) and one Y row (the rhs stderr needs two) are DomainErrors.
     """
@@ -268,19 +271,25 @@ def decoupling_check(
     # g, its gather indices and the gathered values: a quarter of CHUNK_DRAWS entries each
     step = max(1, CHUNK_DRAWS // (4 * x_index.size))
 
-    abs_vals: list[list[np.ndarray]] = [[] for _ in ts]
-    for _, draws in mc.edge_draws([2 * len(y_edges)], p):
-        y_masks = draws[:, pick] @ y_edge_bits  # (rows, 2^k): the edge mask of each Y^v
-        for lo in range(0, len(y_masks), step):
-            block = y_masks[lo : lo + step]
-            g = np.zeros((len(block), x_index.size))
-            for v, y_mask in zip(vs, block.T):  # add or subtract: a uint8 table takes no sign
-                (np.subtract if sum(v) % 2 else np.add)(g, table[y_mask[:, None] | x_index], out=g)
-            for out, t in zip(abs_vals, ts):
-                out.append(np.abs(_inner_chf(g, t, wx)))
+
+    def inner_values(chunks) -> list[list[np.ndarray]]:
+        """|E_X e^{it alpha}| of each Y row of the chunks, per t, in row blocks."""
+        abs_vals: list[list[np.ndarray]] = [[] for _ in ts]
+        for _, draws in chunks:
+            y_masks = draws[:, pick] @ y_edge_bits  # (rows, 2^k): the edge mask of each Y^v
+            for lo in range(0, len(y_masks), step):
+                block = y_masks[lo : lo + step]
+                g = np.zeros((len(block), x_index.size))
+                for v, y_mask in zip(vs, block.T):  # add or subtract: a uint8 table takes no sign
+                    (np.subtract if sum(v) % 2 else np.add)(g, table[y_mask[:, None] | x_index], out=g)
+                for out, t in zip(abs_vals, ts):
+                    out.append(np.abs(_inner_chf(g, t, wx)))
+        return abs_vals
+
+    groups = mc.map_chunks([2 * len(y_edges)], p, inner_values)
     checks = []
-    for lhs_t, vals in zip(lhs, abs_vals):
-        allvals = np.concatenate(vals)
+    for k, lhs_t in enumerate(lhs):
+        allvals = np.concatenate([vals for group in groups for vals in group[k]])
         stderr = float(np.std(allvals, ddof=1) / math.sqrt(allvals.size))
         checks.append(DecouplingCheck(lhs=lhs_t, rhs=float(np.mean(allvals)), rhs_stderr=stderr))
     return checks

@@ -1,10 +1,13 @@
 """Seeded G(n,p) sampling, Monte Carlo clique counts, and empirical
-characteristic functions, drawn from deterministic per-worker substreams."""
+characteristic functions, drawn from deterministic per-worker substreams,
+groups of workers on up to one thread per usable CPU."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
-from typing import Iterator
+from threading import Thread
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -19,12 +22,27 @@ from .errors import DomainError
 # of a row, so it is about CHUNK_DRAWS / 2 words: whatever the width, a chunk's
 # buffers stay within a typical per-core L2 cache
 CHUNK_DRAWS = 1 << 17
+# uniforms per rng.random call of MCConfig.edge_draws for one group of workers
+# of several, drawn beside the others: 128 KB of doubles, so each thread's
+# block stays small beside its chunk buffers
+GROUP_UNIFORM_DRAWS = 1 << 14
+
+T = TypeVar("T")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the most threads map_chunks uses."""
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)
 class MCConfig:
     """Identical (seed, samples, workers, stream) must give bit-identical results.
 
+    ``workers`` fixes the bits: it is the number of substreams a run's samples
+    are split over, worker w drawing quota_w of them.  The host's cores fix the
+    threads: map_chunks runs groups of workers on up to one thread per usable
+    CPU, and no sample depends on which thread drew it.
     Stream k draws its per-worker substreams from the spawned children
     k*workers .. (k+1)*workers - 1 of the seed, so two streams of one
     (seed, workers) share no draws.
@@ -45,41 +63,62 @@ class MCConfig:
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
-    def worker_rngs(self) -> list[np.random.Generator]:
+    def worker_rngs(self, group: range | None = None) -> list[np.random.Generator]:
+        """The generators of the workers in ``group``, by default of every worker that draws.
+
+        Those are the first min(workers, samples): the rest have a zero quota.
+        Worker w's generator is seeded with the seed's spawned child
+        stream * workers + w, built from its spawn key alone, so no generator
+        is made for a worker that draws nothing.
+        """
         first = self.stream * self.workers
-        children = np.random.SeedSequence(self.seed).spawn(first + self.workers)[first:]
-        return [np.random.default_rng(c) for c in children]
+        group = self._drawing() if group is None else group
+        return [np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(first + w,))) for w in group]
+
+    def _drawing(self) -> range:
+        """The workers with a nonzero quota."""
+        return range(min(self.workers, self.samples))
 
     def worker_quotas(self) -> list[int]:
         base, extra = divmod(self.samples, self.workers)
         return [base + (1 if w < extra else 0) for w in range(self.workers)]
 
-    def edge_draws(self, widths: list[int], p: float) -> Iterator[tuple[int, np.ndarray]]:
+    def edge_draws(
+        self, widths: list[int], p: float, group: range | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
         """(i, rows) chunks of every sample's row of ``widths[i]`` Bernoulli(p) draws, from one pass.
 
-        Worker w's rows of width m are the first quota_w * m uniforms of its
-        substream, cut every m: no row depends on the chunk height or on
-        where a chunk starts, and the rows of a narrower width take a prefix
-        of the draws of any wider one.  The uniforms come in blocks of about
-        CHUNK_DRAWS; each width compares its prefix of a block into its own
+        The samples are those of the workers in ``group`` (by default every
+        worker that draws), in (worker, sample) order.  Worker w's rows of
+        width m are the first quota_w * m uniforms of its substream, cut every
+        m: no row depends on the chunk height, on where a chunk starts or on
+        the group, and the rows of a narrower width take a prefix of the draws
+        of any wider one.  The uniforms come in blocks of about CHUNK_DRAWS
+        (at most GROUP_UNIFORM_DRAWS for a ``group``, which runs beside the
+        others); each width compares its prefix of a block into its own
         bool buffer of about CHUNK_DRAWS draws, which fills across worker
-        boundaries and is yielded as (rows, m), in (worker, sample) order,
-        each time it is full and once at the end.  A worker's quota_w * m
-        draws are whole rows, so no row is ever split between two chunks.
-        Each width's chunks reuse its one buffer, so a chunk is valid only
-        until the next one is requested, and memory stays one block and one
-        buffer per width whatever the number of samples.
+        boundaries and is yielded as (rows, m) each time it is full and once
+        at the end.  A worker's quota_w * m draws are whole rows, so no row is
+        ever split between two chunks.  Each width's chunks reuse its one
+        buffer, so a chunk is valid only until the next one is requested, and
+        memory stays one block and one buffer per width whatever the number of
+        samples.
         """
-        heights = [min(max(1, CHUNK_DRAWS // max(m, 1)), self.samples) for m in widths]
+        whole = group is None
+        group = self._drawing() if whole else group
+        rngs, quotas = self.worker_rngs(group), self.worker_quotas()[group.start : group.stop]
+        samples = sum(quotas)
+        heights = [min(max(1, CHUNK_DRAWS // max(m, 1)), samples) for m in widths]
         for i, (m, height) in enumerate(zip(widths, heights)):
             if not m:  # rows without draws: `samples` of them, one chunk height at a time
-                for lo in range(0, self.samples, height):
-                    yield i, np.empty((min(height, self.samples - lo), 0), dtype=bool)
+                for lo in range(0, samples, height):
+                    yield i, np.empty((min(height, samples - lo), 0), dtype=bool)
         flats = [np.empty(height * m, dtype=bool) for m, height in zip(widths, heights)]
-        block = np.empty(max([1] + [flat.size for flat in flats]))
+        size = max([1] + [flat.size for flat in flats])
+        block = np.empty(size if whole else min(size, GROUP_UNIFORM_DRAWS))
         filled = [0] * len(widths)
         wide = max(widths, default=0)
-        for rng, quota in zip(self.worker_rngs(), self.worker_quotas()):
+        for rng, quota in zip(rngs, quotas):
             for lo in range(0, quota * wide, block.size):
                 draws = block[: quota * wide - lo]
                 rng.random(out=draws)
@@ -97,6 +136,48 @@ class MCConfig:
             if filled[i]:
                 yield i, flat[: filled[i]].reshape(-1, m)
 
+    def map_chunks(
+        self, widths: list[int], p: float, consume: Callable[[Iterator[tuple[int, np.ndarray]]], T]
+    ) -> list[T]:
+        """consume(edge_draws(widths, p, group)) for each group of workers, one thread per group.
+
+        The workers that draw are cut into contiguous groups, one per usable
+        CPU or fewer (never more groups than those workers).  The calling
+        thread consumes the first group and one new thread each of the others,
+        and the returns come back in group order, so each width's rows stay in
+        (worker, sample) order.  A run whose samples x widest width draws fit
+        in one CHUNK_DRAWS block is one group, consumed on the calling thread
+        with no other thread started.  A group's chunks do not depend on the
+        other groups, so the bits are the same whatever the number of groups.
+        consume runs on several threads at once: it may call nothing that is
+        not thread-safe.
+        """
+        used = len(self._drawing())
+        threads = 1 if self.samples * max(widths, default=0) <= CHUNK_DRAWS else min(used, _usable_cpus())
+        if threads == 1:
+            return [consume(self.edge_draws(widths, p))]
+        cuts = [used * g // threads for g in range(threads + 1)]
+        groups = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        out: list = [None] * threads
+        failed: list[BaseException] = []
+
+        def run(k: int) -> None:
+            try:
+                out[k] = consume(self.edge_draws(widths, p, groups[k]))
+            except BaseException as exc:  # raised again on the calling thread
+                failed.append(exc)
+
+        # plain threads: importing concurrent.futures costs a process about 0.6 MB of RSS (Python 3.11)
+        helpers = [Thread(target=run, args=(k,)) for k in range(1, threads)]
+        for helper in helpers:
+            helper.start()
+        run(0)  # the calling thread takes the first group
+        for helper in helpers:
+            helper.join()
+        if failed:
+            raise failed[0]
+        return out
+
     def doubled(self) -> "MCConfig":
         """Twice the samples, drawn from the next stream: independent of this run."""
         return replace(self, samples=2 * self.samples, stream=self.stream + 1)
@@ -113,39 +194,53 @@ class ChfEstimate:
 def sample_clique_counts(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:
     """Monte Carlo clique counts: i.i.d. G(n,p) draws, one count per sample.
 
-    One count_cliques_batch call per chunk of ``mc.edge_draws``; output order
-    is (worker, sample-within-worker).
+    One count_cliques_batch call per chunk of ``mc.map_chunks``, on the
+    thread of that chunk's group of workers; output order is (worker,
+    sample-within-worker), so the counts do not depend on the thread count.
     """
-    out = np.empty(mc.samples, dtype=np.int64)
-    done = 0
-    for _, edges in mc.edge_draws([spec.ground.size], spec.p):
-        out[done : done + len(edges)] = count_cliques_batch(edges, spec.n, spec.r)
-        done += len(edges)
-    return out
+
+    def count(chunks):
+        return [count_cliques_batch(edges, spec.n, spec.r) for _, edges in chunks]
+
+    return np.concatenate([c for group in mc.map_chunks([spec.ground.size], spec.p, count) for c in group])
 
 
 def sample_clique_laws(specs: list[CliqueSpec], mc: MCConfig) -> list[EmpiricalDistribution]:
     """Each spec's Monte Carlo law of the clique count on the integers, from one pass of draws.
 
-    The specs share one p.  Each chunk of ``mc.edge_draws`` goes to
-    count_cliques_batch, and the np.bincount of its counts is added into the
-    spec's histogram, which grows to the largest count seen.  So spec k's law
-    has the masses counts/N of ``sample_clique_counts(specs[k], mc)`` bit for
-    bit, and memory stays one chunk and one histogram per spec, whatever the
-    number of samples.
+    The specs share one p.  Each group of workers of ``mc.map_chunks`` sends
+    every chunk to count_cliques_batch and adds the np.bincount of its counts
+    into its own histogram for the spec, which grows to the largest count
+    seen; the groups' integer histograms are then added.  So spec k's law has
+    the masses counts/N of ``sample_clique_counts(specs[k], mc)`` bit for bit,
+    and memory stays one chunk and one histogram per spec and thread,
+    whatever the number of samples.
     """
     if not specs:
         return []
     p = specs[0].p
     if any(spec.p != p for spec in specs):
         raise DomainError(f"one pass of draws needs one p, got {sorted({spec.p for spec in specs})}")
+
+    def histograms(chunks):
+        hists = [np.zeros(0, dtype=np.int64) for _ in specs]
+        for i, edges in chunks:
+            hists[i] = _added(hists[i], np.bincount(count_cliques_batch(edges, specs[i].n, specs[i].r)))
+        return hists
+
     hists = [np.zeros(0, dtype=np.int64) for _ in specs]
-    for i, edges in mc.edge_draws([spec.ground.size for spec in specs], p):
-        hist = np.bincount(count_cliques_batch(edges, specs[i].n, specs[i].r), minlength=hists[i].size)
-        hist[: hists[i].size] += hists[i]
-        hists[i] = hist
+    for group in mc.map_chunks([spec.ground.size for spec in specs], p, histograms):
+        hists = [_added(a, b) for a, b in zip(hists, group)]
     lattice = LatticeSpec(0.0, 1.0)
     return [EmpiricalDistribution.from_indices(lattice, np.flatnonzero(h), h[h > 0] / mc.samples) for h in hists]
+
+
+def _added(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of two histograms, as long as the longer."""
+    if a.size < b.size:
+        a, b = b, a
+    a[: b.size] += b
+    return a
 
 
 def sample_kappa(spec: CliqueSpec, mc: MCConfig) -> np.ndarray:

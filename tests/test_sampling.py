@@ -265,3 +265,151 @@ def test_empirical_distribution_exact_counts():
     assert d.prob(1.0) == 0.5
     assert d.prob(0.0) == 0.25
     assert d.total() == pytest.approx(1.0)
+
+
+def test_worker_rngs_spawn_only_the_workers_that_draw():
+    # regression: a generator was spawned for every worker, even one with a
+    # zero quota; 200,000 workers took 3 s and 220 MB for 10 samples
+    many = MCConfig(seed=0, samples=10, workers=10**6)
+    assert len(many.worker_rngs()) == 10
+    spec = CliqueSpec(n=10, r=3, p=0.5)
+    assert np.array_equal(sample_clique_counts(spec, many), sample_clique_counts(spec, MCConfig(0, 10, 20)))
+    # each generator keeps its spawn key, in any stream
+    for mc in (MCConfig(seed=3, samples=5, workers=7), MCConfig(seed=3, samples=5, workers=7, stream=2)):
+        children = np.random.SeedSequence(3).spawn(21)[7 * mc.stream :][:5]
+        assert [rng.random() for rng in mc.worker_rngs()] == [np.random.default_rng(c).random() for c in children]
+    assert [rng.random() for rng in MCConfig(3, 5, 7).worker_rngs(range(2, 4))] == [
+        np.random.default_rng(c).random() for c in np.random.SeedSequence(3).spawn(4)[2:]
+    ]
+
+
+class _InlineThread:
+    """A stand-in for threading.Thread that runs its target inline at start() and counts itself."""
+
+    made = 0
+
+    def __init__(self, target, args):
+        type(self).made += 1
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
+def _on_cpus(monkeypatch, cpus, call):
+    from cliquellt import sampling
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        return call()
+
+
+def test_thread_split_keeps_the_bits_of_counts_and_laws(monkeypatch):
+    from cliquellt import sampling
+    from cliquellt.sampling import sample_clique_laws
+
+    for r in (3, 4):
+        spec = CliqueSpec(n=11, r=r, p=0.5)
+        # samples < workers, samples not divisible by workers, and one natural multi-chunk run
+        for samples, workers, rows in ((3, 4, 1), (301, 4, 7), (1001, 3, 64), (5000, 5, None)):
+            mc = MCConfig(seed=23, samples=samples, workers=workers)
+            ref = _per_worker_counts(spec, mc)
+            with monkeypatch.context() as patch:
+                if rows:
+                    patch.setattr(sampling, "CHUNK_DRAWS", rows * spec.ground.size)
+                for cpus in (1, 2, 3, 4):
+                    assert np.array_equal(_on_cpus(monkeypatch, cpus, lambda: sample_clique_counts(spec, mc)), ref)
+    specs = [CliqueSpec(n, 3, 0.5) for n in (8, 9, 10)]
+    for samples, workers in ((4000, 4), (3001, 3), (2, 5)):
+        mc = MCConfig(seed=5, samples=samples, workers=workers)
+        refs = [_per_worker_counts(spec, mc) for spec in specs]
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "CHUNK_DRAWS", 64 * specs[-1].ground.size)
+            for cpus in (1, 2, 3, 4):
+                laws = _on_cpus(monkeypatch, cpus, lambda: sample_clique_laws(specs, mc))
+                assert all(_same_law(law, ref) for law, ref in zip(laws, refs))
+
+
+def test_thread_split_keeps_the_bits_of_decoupling_and_the_self_check(monkeypatch, capsys):
+    from cliquellt import build_color_partition, decoupling_check
+    from cliquellt.cli import main
+    from cliquellt.cliques import counts_over_all_graphs
+
+    # 30,000 Y rows of 24 draws: 6 chunks over 3 workers
+    table, part = counts_over_all_graphs(6, 3), build_color_partition(6, 1, [3, 3])
+    mc = MCConfig(seed=11, samples=30_000, workers=3)
+    runs = [_on_cpus(monkeypatch, cpus, lambda: decoupling_check(table, part, 0.5, (0.5, 1.0, 2.0), mc))
+            for cpus in (1, 2, 3, 4)]
+    assert all(run == runs[0] for run in runs)
+    # --self-check's doubled run draws from the next stream: 3000 and 6000 rows of 66 draws
+    argv = ["chf-scan", "--n", "12", "--samples", "3000", "--workers", "4", "--t-steps", "5", "--self-check"]
+    outs = []
+    for cpus in (1, 2, 3, 4):
+        assert _on_cpus(monkeypatch, cpus, lambda: main(argv)) == 0
+        outs.append(capsys.readouterr().out)
+    assert "self_check_max_delta" in outs[0] and all(out == outs[0] for out in outs)
+
+
+def test_thread_split_runs_groups_on_their_own_threads(monkeypatch):
+    import threading
+
+    mc = MCConfig(seed=2, samples=4000, workers=4)  # 4000 x 55 draws: two chunks
+
+    def who(chunks):
+        return threading.get_ident(), sum(len(rows) for _, rows in chunks)
+
+    got = _on_cpus(monkeypatch, 2, lambda: mc.map_chunks([55], 0.5, who))
+    assert len({ident for ident, _ in got}) == 2 and [rows for _, rows in got] == [2000, 2000]
+    got = _on_cpus(monkeypatch, 3, lambda: mc.map_chunks([55], 0.5, who))
+    assert len({ident for ident, _ in got}) == 3 and [rows for _, rows in got] == [1000, 1000, 2000]
+
+
+def test_threads_never_exceed_the_usable_cpus(monkeypatch):
+    from cliquellt import sampling
+
+    monkeypatch.setattr(sampling, "Thread", _InlineThread)
+    spec = CliqueSpec(n=11, r=3, p=0.5)
+    mc = MCConfig(seed=1, samples=50, workers=10**5)  # 50 workers draw
+    ref = _per_worker_counts(spec, mc)
+    monkeypatch.setattr(sampling, "CHUNK_DRAWS", 4 * spec.ground.size)
+    for cpus in (1, 2, 3, 4):
+        _InlineThread.made = 0
+        assert np.array_equal(_on_cpus(monkeypatch, cpus, lambda: sample_clique_counts(spec, mc)), ref)
+        # the calling thread takes one group, a new thread each of the rest
+        assert _InlineThread.made == cpus - 1
+
+
+def test_one_chunk_run_starts_no_thread(monkeypatch):
+    from cliquellt import sampling
+
+    class NoThread:
+        def __init__(self, target, args):
+            raise AssertionError("a thread for a run of one chunk")
+
+    monkeypatch.setattr(sampling, "Thread", NoThread)
+    spec = CliqueSpec(n=30, r=4, p=0.5)
+    fits = sampling.CHUNK_DRAWS // spec.ground.size  # 301 rows of 435 draws
+    for samples in (200, fits):
+        mc = MCConfig(seed=3, samples=samples, workers=4)
+        counts = _on_cpus(monkeypatch, 4, lambda: sample_clique_counts(spec, mc))
+        assert np.array_equal(counts, _per_worker_counts(spec, mc))
+    with pytest.raises(AssertionError, match="a thread"):
+        _on_cpus(monkeypatch, 4, lambda: sample_clique_counts(spec, MCConfig(seed=3, samples=fits + 1, workers=4)))
+
+
+def test_a_failing_group_raises_on_the_calling_thread(monkeypatch):
+    import threading
+
+    mc = MCConfig(seed=2, samples=4000, workers=4)  # 4000 x 55 draws: two chunks
+
+    def fail_in_helper(chunks):
+        rows = sum(len(rows) for _, rows in chunks)
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError(f"a helper group of {rows} rows failed")
+        return rows
+
+    with pytest.raises(ValueError, match="a helper group of 2000 rows failed"):
+        _on_cpus(monkeypatch, 2, lambda: mc.map_chunks([55], 0.5, fail_in_helper))
